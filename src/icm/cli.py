@@ -3,7 +3,7 @@
 Exit codes: 0 success (or boolean true), 1 boolean false / failed checks,
 2 usage, parse, or domain errors, 3 violated preconditions, 4 resource cap.
 The environment variable ICM_BREAKPOINT_CAP overrides the breakpoint cap
-used by iterated composition.
+used by iterated composition and by `tent`; it must be a positive integer.
 """
 
 from __future__ import annotations
@@ -36,9 +36,12 @@ def _breakpoint_cap() -> int:
     if raw is None:
         return DEFAULT_BREAKPOINT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise DomainError(f"ICM_BREAKPOINT_CAP must be an integer, got {raw!r}")
+    if cap < 1:
+        raise DomainError(f"ICM_BREAKPOINT_CAP must be positive, got {cap}")
+    return cap
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -104,6 +107,10 @@ def _svg(segments: sv.SegmentSet, xlines, ylines) -> str:
 # -- command handlers ------------------------------------------------------------
 
 def _cmd_tent(args) -> int:
+    cap = _breakpoint_cap()
+    if args.n + 1 > cap:
+        raise ResourceError(
+            f"tent {args.n} needs {args.n + 1} breakpoints, above the cap {cap}")
     _write_out(pwl.dump_map_text(tent(args.n)), args.out)
     return 0
 

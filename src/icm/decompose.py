@@ -161,22 +161,6 @@ def _running_max_vertices(f: PLMap) -> list[tuple[Fraction, Fraction]]:
     return verts
 
 
-def _running_min_vertices(f: PLMap) -> list[tuple[Fraction, Fraction]]:
-    """Vertices of x -> min f over [x, 1]."""
-    cur = f(ONE)
-    rev = [(ONE, cur)]
-    for (x0, y0), (x1, y1) in reversed(list(f.segments())):
-        if y0 >= cur:
-            rev.append((x0, cur))
-            continue
-        xc = x1 if y1 == cur else x0 + (cur - y0) * (x1 - x0) / (y1 - y0)
-        if xc < rev[-1][0]:
-            rev.append((xc, cur))
-        rev.append((x0, y0))
-        cur = y0
-    return rev[::-1]
-
-
 def _pl_nonpositive_somewhere(verts: list[tuple[Fraction, Fraction]]) -> bool:
     """Whether the PL function with these (x, value) vertices is <= 0 at some
     interior point of (0, 1)."""
@@ -201,8 +185,9 @@ def _has_invariant_prefix(f: PLMap) -> bool:
 
 
 def _has_invariant_suffix(f: PLMap) -> bool:
-    verts = [(x, x - m) for x, m in _running_min_vertices(f)]
-    return _pl_nonpositive_somewhere(verts)
+    """A suffix of f is an invariant prefix of x -> 1 - f(1 - x)."""
+    return _has_invariant_prefix(
+        PLMap(tuple((ONE - x, ONE - y) for x, y in reversed(f.points))))
 
 
 def _has_swap_structure(f: PLMap) -> bool:
@@ -563,14 +548,9 @@ def verify_decomposition(f: PLMap, g: PLMap, D: Decomposition) -> Report:
                            J.contains_interval(G2.image(J)))
             if not (swap_ok and inv_ok and sq_ok):
                 continue
-            if D.case == "b":
-                cond = G
-                cond_dom, cond_cod = J, J
-            else:
-                cond = G2
-                cond_dom, cond_cod = J, J
-            c_mono = cond.is_monotone_on(cond_dom)
-            c_open = _safe_open(cond, cond_dom, cond_cod)
+            cond = G if D.case == "b" else G2
+            c_mono = cond.is_monotone_on(J)
+            c_open = _safe_open(cond, J, J)
             if c_open and not c_mono:
                 report.add(f"{tag} open partner forces open squares",
                            _safe_open(F2, J, J) and _safe_open(F, J, opp))

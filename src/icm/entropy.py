@@ -195,18 +195,9 @@ def _perron_bracket(matrix: tuple[tuple[int, ...], ...],
 def _collatz_bracket(block: list[list[int]],
                      tol: Fraction) -> tuple[Fraction, Fraction]:
     m = len(block)
-    # float warm start
-    x = [1.0] * m
-    for _ in range(100000):
-        y = [sum(block[i][j] * x[j] for j in range(m)) for i in range(m)]
-        top = max(y)
-        x = [v / top for v in y]
-        quotients = [yi / xi for yi, xi in zip(y, x) if xi > 0]
-        if quotients and max(quotients) - min(quotients) < 1e-13:
-            break
-    # exact certification; bounds are valid for every positive vector, so
+    # Collatz-Wielandt bounds are valid for every positive vector, so
     # denominator trimming between rounds cannot invalidate them
-    xr = [max(Fraction(v), Fraction(1, 10**18)) for v in x]
+    xr = [Fraction(1)] * m
     best_lo, best_hi = Fraction(0), None
     for _ in range(256):
         yr = [sum(block[i][j] * xr[j] for j in range(m)) for i in range(m)]

@@ -75,7 +75,11 @@ class Segment:
 
 @dataclass(frozen=True)
 class SegmentSet:
-    """Canonical arrangement of closed segments representing a closed set."""
+    """Canonical arrangement of closed segments representing a closed set.
+
+    Every SegmentSet the library builds comes out of ``segment_set``
+    (``reflected`` included), so ``==`` is point-set equality.
+    """
 
     segments: tuple[Segment, ...]
 
@@ -99,7 +103,9 @@ class SegmentSet:
 
         The segment is split at every intersection with the supporting lines
         of this set; each sub-piece lies inside or outside as a whole, so a
-        rational midpoint test per piece decides containment.
+        rational midpoint test per piece decides containment. This is the
+        subset relation and an independent reference for ``==``; no decision
+        procedure calls it.
         """
         if s.is_point:
             return self.contains_point(s.a)
@@ -137,7 +143,16 @@ class SegmentSet:
 
 
 def segment_set(raw: Iterable[Segment]) -> SegmentSet:
-    """Canonicalize: merge touching collinear segments, drop covered points."""
+    """Canonicalize: merge touching collinear segments, drop covered points.
+
+    The result depends only on the point set X that the input covers, so two
+    canonical sets are equal as sets exactly when they are equal as tuples.
+    A segment on another line meets a line L in at most one point, so it
+    cannot cover a positive-length piece of L; the union of the input
+    segments on L is therefore the closure of the relative interior of
+    X ∩ L, fixed by X. Its maximal touching runs (the merged segments) are
+    fixed with it, and so are the isolated points: the points of X on no run.
+    """
     proper: dict[tuple, list[Segment]] = {}
     points: set[Point] = set()
     for s in raw:
@@ -164,7 +179,7 @@ def segment_set(raw: Iterable[Segment]) -> SegmentSet:
 
 def graphs_equal(first: SegmentSet, second: SegmentSet) -> bool:
     """Point-set equality of two canonical segment arrangements."""
-    return first.covers(second) and second.covers(first)
+    return first == second
 
 
 # -- the two graphs ----------------------------------------------------------

@@ -203,6 +203,19 @@ class TestCli:
         code, _, err = run_cli(["iterate", maps_dir / "T3.pwl", "8"], capsys)
         assert code == 4 and "error" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_cap_exit_2(self, maps_dir, capsys, monkeypatch, cap):
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", cap)
+        code, out, err = run_cli(["iterate", maps_dir / "T3.pwl", "2"], capsys)
+        assert (code, out) == (2, "") and "positive" in err
+
+    def test_tent_bounded_by_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "50")
+        code, out, err = run_cli(["tent", "100"], capsys)
+        assert (code, out) == (4, "") and "cap 50" in err
+        code, out, _ = run_cli(["tent", "49"], capsys)
+        assert code == 0 and parse_map_text(out) == tent(49)
+
     def test_module_entry_point(self, maps_dir):
         proc = subprocess.run(
             [sys.executable, "-m", "icm", "strong-commute",

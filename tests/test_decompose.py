@@ -74,6 +74,9 @@ class TestOrientation:
         assert orientation(tent(3)) == "preserving"
         assert orientation(tent(4)) == "degenerate"
         assert orientation(identity_map()) == "degenerate"
+        # no invariant prefix: the invariant suffix [1/2, 1] decides
+        assert orientation(make_plmap([(0, 0), ("1/2", 1), (1, "1/2")])) \
+            == "preserving"
 
     def test_pure_flip_not_preserving(self):
         flip = make_plmap([(0, 1), (1, 0)])

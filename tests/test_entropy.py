@@ -9,6 +9,7 @@ import pytest
 from icm import (PreconditionError, ResourceError, compose, conjugate,
                  entropy_lap, entropy_markov, entropy_setvalued, identity_map,
                  iterate, lap, make_plmap, markov_partition, tent)
+from icm.entropy import PERRON_TOLERANCE, _perron_bracket
 from conftest import invariant_chain_pair, random_homeo, random_onto_map
 
 F = Fraction
@@ -97,6 +98,21 @@ class TestMarkov:
             data = markov_partition(tent(n))
             est = entropy_lap(tent(n), k).estimate
             assert abs(entropy_markov(data) - est) <= 2 * math.log(lap(tent(n))) / k
+
+
+class TestPerronBracket:
+    def test_golden_mean_exact(self):
+        lo, hi = _perron_bracket(((1, 1), (1, 0)))
+        assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+        assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
+        assert hi - lo < PERRON_TOLERANCE
+
+    def test_reducible_takes_largest_component(self):
+        # components {0, 1} with root 2 and {2, 3} (a 2-cycle) with root 1
+        lo, hi = _perron_bracket(((1, 1, 1, 0), (1, 1, 0, 0),
+                                  (0, 0, 0, 1), (0, 0, 1, 0)))
+        assert lo <= 2 <= hi
+        assert hi - lo < PERRON_TOLERANCE
 
 
 class TestSetValued:

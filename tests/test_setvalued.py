@@ -11,7 +11,8 @@ from icm import (PreconditionError, Segment, commute, compose, endpoints,
                  segment_set, strongly_commute, tent,
                  verify_strong_consequences)
 from icm.setvalued import parametrization_coincidences
-from conftest import (block_swap_pair, double_reversal_pair, hat_demo_pair,
+from conftest import (block_swap_pair, conjugated_tent_pair, coprime_pair,
+                      double_reversal_pair, hat_demo_pair,
                       invariant_chain_pair, random_onto_map)
 
 F = Fraction
@@ -79,6 +80,22 @@ class TestGraphsEqual:
                              Segment((F(0), F(1)), (F(1), F(0)))])
         assert not graphs_equal(diag, cross)
         assert cross.covers(diag)
+
+    def test_canonical_equality_agrees_with_two_way_covers(self):
+        rng = random.Random(20261018)
+        pairs = [(tent(n), tent(m)) for n in range(2, 16) for m in range(2, 16)]
+        for _ in range(300):
+            f = random_onto_map(rng)
+            pairs += [(f, random_onto_map(rng)), (f, compose(f, f)), (f, f)]
+        pairs += [conjugated_tent_pair(rng, *coprime_pair(rng))
+                  for _ in range(60)]
+        equal = 0
+        for f, g in pairs:
+            fwd, pull = forward_graph(f, g), pullback_graph(f, g)
+            same = graphs_equal(fwd, pull)
+            assert same == (fwd.covers(pull) and pull.covers(fwd)), (f, g)
+            equal += same
+        assert len(pairs) >= 1000 and equal >= 150
 
 
 class TestCommutation:
