@@ -3,7 +3,8 @@
 Exit codes: 0 success (or boolean true), 1 boolean false / failed checks,
 2 usage, parse, or domain errors, 3 violated preconditions, 4 resource cap.
 The environment variable ICM_BREAKPOINT_CAP overrides the breakpoint cap
-used by iterated composition and by `tent`; it must be a positive integer.
+used by iterated composition, lap counting and `tent`; it must be a positive
+integer.
 """
 
 from __future__ import annotations

@@ -8,12 +8,14 @@ final logarithm, and the Perron root carries a certified rational bracket.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DEFAULT_BREAKPOINT_CAP, PLMap, compose
-from .errors import DomainError, InternalInvariantError, PreconditionError
+from .core import DEFAULT_BREAKPOINT_CAP, ONE, ZERO, PLMap
+from .errors import (DomainError, InternalInvariantError, PreconditionError,
+                     ResourceError)
 from .setvalued import strongly_commute
 
 PERRON_TOLERANCE = Fraction(1, 10**12)
@@ -41,14 +43,41 @@ class LapSequence:
 def entropy_lap(f: PLMap, k_max: int,
                 cap: int | None = DEFAULT_BREAKPOINT_CAP) -> LapSequence:
     """Exact lap counts of f, f^2, ..., f^k_max and the entropy upper bound
-    log(lap(f^k_max))/k_max."""
+    log(lap(f^k_max))/k_max, without building any iterate.
+
+    Every lap J of f^k maps monotonically onto the interval I = f^k(J), so
+    the laps of f^(k+1) inside J are the pieces of I cut at the critical
+    points of f, and each piece maps onto its f-image. The images are kept
+    with their multiplicities; lap(f^k) is the sum of the multiplicities.
+    Laps never merge: at a turning point t of f^k both sides of t map into
+    the same side of f^k(t), where f is monotone because it has no constant
+    piece, so f^(k+1) turns at t as well. The image endpoints are f^k(0),
+    f^k(1) and values f^i(c), i <= k, at critical points c of f, so the
+    images number O((k * #critical points)^2) however many laps there are.
+
+    ``cap`` bounds the breakpoints the iterates would need, at least
+    lap(f^k) + 1 for f^k; a larger count raises ResourceError.
+    """
     if not isinstance(k_max, int) or k_max < 1:
         raise DomainError("k_max must be a positive integer")
-    acc = f
-    laps = [(1, lap(f))]
-    for k in range(2, k_max + 1):
-        acc = compose(f, acc, cap=cap)
-        laps.append((k, lap(acc)))
+    crit = f.critical_points().xs
+    crit_values = [f(c) for c in crit]
+    images = {(ZERO, ONE): 1}  # the one lap of f^0, the identity
+    laps = []
+    for k in range(1, k_max + 1):
+        cut: dict[tuple[Fraction, Fraction], int] = {}
+        for (lo, hi), mult in images.items():
+            i, j = bisect.bisect_right(crit, lo), bisect.bisect_left(crit, hi)
+            values = [f(lo), *crit_values[i:j], f(hi)]
+            for a, b in zip(values, values[1:]):
+                key = (a, b) if a < b else (b, a)
+                cut[key] = cut.get(key, 0) + mult
+        images = cut
+        count = sum(images.values())
+        if k > 1 and cap is not None and count + 1 > cap:
+            raise ResourceError(
+                f"f^{k} needs at least {count + 1} breakpoints, above the cap {cap}")
+        laps.append((k, count))
     estimate = math.log(laps[-1][1]) / k_max
     return LapSequence(tuple(laps), estimate)
 
@@ -75,20 +104,24 @@ def markov_partition(f: PLMap, max_points: int = 256) -> MarkovData | None:
     then not Markov within the configured bound).
     """
     pts = set(f.xs)
+    # f maps every older point into the set already, so only the points the
+    # last round added can have images outside it
+    frontier = pts
     while True:
-        new = {f(x) for x in pts} - pts
-        if not new:
+        frontier = {f(x) for x in frontier} - pts
+        if not frontier:
             break
-        pts |= new
+        pts |= frontier
         if len(pts) > max_points:
             return None
     partition = sorted(pts)
-    cells = list(zip(partition, partition[1:]))
+    rank = {x: i for i, x in enumerate(partition)}
+    n = len(partition) - 1
     matrix = []
-    for a, b in cells:
-        lo, hi = sorted((f(a), f(b)))
-        matrix.append(tuple(1 if lo <= c and d <= hi else 0
-                            for c, d in cells))
+    for a, b in zip(partition, partition[1:]):
+        # f(a), f(b) are partition points; the cells between them are covered
+        i, j = sorted((rank[f(a)], rank[f(b)]))
+        matrix.append((0,) * i + (1,) * (j - i) + (0,) * (n - j))
     rho_lo, rho_hi = _perron_bracket(tuple(matrix))
     mid = (rho_lo + rho_hi) / 2
     return MarkovData(tuple(partition), tuple(matrix),
@@ -183,32 +216,43 @@ def _perron_bracket(matrix: tuple[tuple[int, ...], ...],
     adj = [[j for j in range(n) if matrix[i][j]] for i in range(n)]
     best_lo, best_hi = Fraction(0), Fraction(0)
     for comp in _strong_components(adj):
-        m = len(comp)
-        block = [[matrix[v][w] + (1 if v == w else 0) for w in comp]
-                 for v in comp]
-        lo, hi = _collatz_bracket(block, tol)
+        local = {v: k for k, v in enumerate(comp)}
+        rows = [[(local[w], matrix[v][w]) for w in adj[v] if w in local]
+                for v in comp]
+        lo, hi = _collatz_bracket(rows, tol)
         best_lo = max(best_lo, lo - 1)
         best_hi = max(best_hi, hi - 1)
     return best_lo, best_hi
 
 
-def _collatz_bracket(block: list[list[int]],
+def _collatz_bracket(rows: list[list[tuple[int, int]]],
                      tol: Fraction) -> tuple[Fraction, Fraction]:
-    m = len(block)
-    # Collatz-Wielandt bounds are valid for every positive vector, so
-    # denominator trimming between rounds cannot invalidate them
-    xr = [Fraction(1)] * m
+    """Bracket for the Perron root of I + B, where B is an irreducible block
+    given by the (column, entry) pairs of its nonzero entries, row by row.
+
+    Power iteration runs on positive integer vectors, cut back to about 96
+    bits between rounds and floored at 1. The min and max of the exact
+    quotients (Bx + x)_i / x_i are Collatz-Wielandt bounds for every positive
+    x, so the cut cannot invalidate them.
+    """
+    x = [1] * len(rows)
     best_lo, best_hi = Fraction(0), None
     for _ in range(256):
-        yr = [sum(block[i][j] * xr[j] for j in range(m)) for i in range(m)]
-        quots = [yi / xi for yi, xi in zip(yr, xr)]
-        best_lo = max(best_lo, min(quots))
-        best_hi = min(best_hi, max(quots)) if best_hi is not None else max(quots)
+        y = [xi + sum(w * x[j] for j, w in row) for xi, row in zip(x, rows)]
+        # argmin / argmax of y_i / x_i by cross-multiplication
+        i_lo = i_hi = 0
+        for i in range(1, len(y)):
+            if y[i] * x[i_lo] < y[i_lo] * x[i]:
+                i_lo = i
+            if y[i] * x[i_hi] > y[i_hi] * x[i]:
+                i_hi = i
+        lo, hi = Fraction(y[i_lo], x[i_lo]), Fraction(y[i_hi], x[i_hi])
+        best_lo = max(best_lo, lo)
+        best_hi = min(best_hi, hi) if best_hi is not None else hi
         if best_hi - best_lo < tol:
             break
-        top = max(yr)
-        xr = [max((v / top).limit_denominator(10**24), Fraction(1, 10**30))
-              for v in yr]
+        shift = max(max(y).bit_length() - 96, 0)
+        x = [max(v >> shift, 1) for v in y]
     if best_hi is None or best_hi - best_lo >= tol:
         raise InternalInvariantError("Perron bracket failed to converge")
     return best_lo, best_hi

@@ -296,6 +296,12 @@ class Profile:
 
 
 def profile(f: PLMap, g: PLMap) -> Profile:
+    return _profile_with_features(f, g)[0]
+
+
+def _profile_with_features(f: PLMap, g: PLMap) -> tuple[
+        Profile, list[GraphFeature], list[GraphFeature]]:
+    """profile(f, g) together with the hats and endpoints it counted."""
     if not f.is_onto() or not g.is_onto():
         raise PreconditionError("profile requires both maps onto [0, 1]")
     crit = f.critical_points().xs
@@ -323,7 +329,7 @@ def profile(f: PLMap, g: PLMap) -> Profile:
         chain = (e[0] + h[0],
                  *(h[i - 1] + e[i] + h[i] for i in range(1, n)),
                  h[n - 1] + e[n])
-    return Profile(
+    prof = Profile(
         hat_counts=tuple(h),
         endpoint_counts=tuple(e),
         total_hats=total_h,
@@ -335,6 +341,7 @@ def profile(f: PLMap, g: PLMap) -> Profile:
         end_hat_bound_holds=(not has_end_hat) or (total_h + total_e <= n + 1),
         parity_bound_holds=sum(e) + 2 * sum(h) >= 2 * (n + 1),
     )
+    return prof, hat_list, end_list
 
 
 # -- coincidences of the parametrization ---------------------------------------
@@ -406,13 +413,13 @@ def verify_strong_consequences(f: PLMap, g: PLMap) -> Report:
     crit_g = g.critical_points()
     n = len(crit_f)
 
-    prof = profile(f, g)
-    hat_set = {feat.location for feat in hats(f, g)}
+    prof, hat_list, end_list = _profile_with_features(f, g)
+    hat_set = {feat.location for feat in hat_list}
     expected_hats = {(g(c), f(c)) for c in crit_f.xs}
     report.add("hat-count-and-positions",
                prof.total_hats == n and hat_set == expected_hats,
                f"hats={sorted(hat_set)}")
-    end_set = {feat.location for feat in endpoints(f, g)}
+    end_set = {feat.location for feat in end_list}
     expected_ends = {(g(ZERO), f(ZERO)), (g(ONE), f(ONE))}
     report.add("two-endpoints",
                prof.total_endpoints == 2 and end_set == expected_ends,

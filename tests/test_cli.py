@@ -1,6 +1,7 @@
 """.pwl round trips and the command-line surface, including exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import icm
 from icm import (ParseError, dump_map_text, make_plmap, parse_map_text, tent)
 from icm.cli import main
 from conftest import block_swap_pair, invariant_chain_pair
@@ -203,6 +205,27 @@ class TestCli:
         code, _, err = run_cli(["iterate", maps_dir / "T3.pwl", "8"], capsys)
         assert code == 4 and "error" in err
 
+    def test_lap_entropy_bounded_by_cap(self, maps_dir, capsys, monkeypatch):
+        # lap(T3^4) + 1 = 82 breakpoints already exceed the cap
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "50")
+        code, out, err = run_cli(["entropy", maps_dir / "T3.pwl", "--method",
+                                  "lap", "--iters", "8"], capsys)
+        assert (code, out) == (4, "") and "cap 50" in err
+
+    def test_lap_entropy_of_non_markov_map(self, tmp_path, capsys):
+        path = tmp_path / "nm.pwl"
+        path.write_text("0 0\n5/12 1\n1 1/12\n")
+        code, out, _ = run_cli(["entropy", path], capsys)
+        assert (code, out) == (0, "log(1903)/12 ~= 0.629265572275\n")
+
+    def test_markov_entropy_of_tent_300(self, tmp_path, capsys):
+        # 301 breakpoints, closed under the map, above the 256-point bound
+        # on orbit growth
+        path = tmp_path / "T300.pwl"
+        path.write_text(dump_map_text(tent(300)))
+        code, out, _ = run_cli(["entropy", path], capsys)
+        assert (code, out) == (0, "log 300 ~= 5.70378247466\n")
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_non_positive_cap_exit_2(self, maps_dir, capsys, monkeypatch, cap):
         monkeypatch.setenv("ICM_BREAKPOINT_CAP", cap)
@@ -217,9 +240,13 @@ class TestCli:
         assert code == 0 and parse_map_text(out) == tent(49)
 
     def test_module_entry_point(self, maps_dir):
+        # the child imports the same `icm` as this process
+        src = os.path.dirname(os.path.dirname(icm.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "icm", "strong-commute",
              str(maps_dir / "T3.pwl"), str(maps_dir / "T4.pwl")],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout == "true\n"

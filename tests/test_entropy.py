@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from icm import (PreconditionError, ResourceError, compose, conjugate,
+from icm import (PLMap, PreconditionError, ResourceError, compose, conjugate,
                  entropy_lap, entropy_markov, entropy_setvalued, identity_map,
                  iterate, lap, make_plmap, markov_partition, tent)
 from icm.entropy import PERRON_TOLERANCE, _perron_bracket
@@ -61,6 +61,49 @@ class TestEntropyLap:
         with pytest.raises(ResourceError):
             entropy_lap(tent(3), 20, cap=1000)
 
+    def test_cap_counts_laps_plus_one(self):
+        # lap(T3^4) + 1 = 82 breakpoints at least
+        assert entropy_lap(tent(3), 4, cap=82).laps[-1] == (4, 81)
+        with pytest.raises(ResourceError):
+            entropy_lap(tent(3), 4, cap=81)
+
+    def test_recursion_matches_materialised_iterates(self):
+        rng = random.Random(61)
+        maps = [tent(n) for n in range(2, 6)]
+        maps += [random_onto_map(rng, max_interior=3) for _ in range(30)]
+        maps += [_random_map_not_onto(rng) for _ in range(30)]
+        for f in maps:
+            seq = entropy_lap(f, 6)
+            acc = f
+            for k in range(1, 7):
+                if k > 1:
+                    acc = compose(f, acc)
+                assert seq.lap_at(k) == lap(acc), (f, k)
+
+
+def _random_map_not_onto(rng: random.Random, denom: int = 12) -> PLMap:
+    """A map with 1 to 3 interior breakpoints whose image misses 0 or 1."""
+    while True:
+        k = rng.randint(1, 3)
+        xs = [0, *sorted(rng.sample(range(1, denom), k)), denom]
+        ys = [rng.randint(0, denom) for _ in xs]
+        if all(a != b for a, b in zip(ys, ys[1:])) and (
+                min(ys) > 0 or max(ys) < denom):
+            return make_plmap([(F(x, denom), F(y, denom))
+                               for x, y in zip(xs, ys)])
+
+
+def _whole_set_closure(f: PLMap, max_points: int):
+    """Orbit closure that maps the whole point set every round."""
+    pts = set(f.xs)
+    while True:
+        new = {f(x) for x in pts} - pts
+        if not new:
+            return sorted(pts)
+        pts |= new
+        if len(pts) > max_points:
+            return None
+
 
 class TestMarkov:
     def test_tent2_structure(self):
@@ -92,6 +135,32 @@ class TestMarkov:
         f = make_plmap([(0, 0), ("1/3", "5/7"), (1, 1)])
         assert markov_partition(f) is None
 
+    def test_frontier_closure_matches_whole_set_closure(self):
+        rng = random.Random(62)
+        maps = [random_onto_map(rng) for _ in range(40)]
+        for f in maps:
+            for max_points in (16, 64):
+                data = markov_partition(f, max_points)
+                partition = _whole_set_closure(f, max_points)
+                assert (data is None) == (partition is None), f
+                if data is None:
+                    continue
+                assert data.partition == tuple(partition)
+                cells = list(zip(partition, partition[1:]))
+                images = [sorted((f(a), f(b))) for a, b in cells]
+                assert data.matrix == tuple(
+                    tuple(int(lo <= c and d <= hi) for c, d in cells)
+                    for lo, hi in images)
+
+    @pytest.mark.parametrize("f", [tent(20), iterate(tent(3), 3)],
+                             ids=["T20", "T3^3"])
+    def test_closed_breakpoints_above_max_points(self, f):
+        # f maps its breakpoints into themselves, so no round adds a point
+        # and the bound is never checked
+        data = markov_partition(f, max_points=16)
+        assert data is not None
+        assert list(data.partition) == _whole_set_closure(f, 16) == list(f.xs)
+
     def test_markov_agrees_with_lap_growth(self):
         k = 6
         for n in range(2, 6):
@@ -112,6 +181,45 @@ class TestPerronBracket:
         lo, hi = _perron_bracket(((1, 1, 1, 0), (1, 1, 0, 0),
                                   (0, 0, 0, 1), (0, 0, 1, 0)))
         assert lo <= 2 <= hi
+        assert hi - lo < PERRON_TOLERANCE
+
+
+def _det(rows) -> Fraction:
+    """Exact determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n, det = len(a), Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
+    return det
+
+
+def _char_poly_at(matrix, lam: Fraction) -> Fraction:
+    n = len(matrix)
+    return _det([[(lam if i == j else 0) - matrix[i][j] for j in range(n)]
+                 for i in range(n)])
+
+
+class TestPerronBracketExact:
+    """The characteristic polynomial of an irreducible matrix changes sign
+    at its Perron root, so det(lo*I - B) <= 0 <= det(hi*I - B)."""
+
+    PLASTIC = ((0, 1, 0), (0, 0, 1), (1, 1, 0))  # root: the plastic number
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, None])
+    def test_bracket_encloses_a_sign_change(self, n):
+        matrix = self.PLASTIC if n is None else markov_partition(tent(n)).matrix
+        lo, hi = _perron_bracket(matrix)
+        assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+        assert _char_poly_at(matrix, lo) <= 0 <= _char_poly_at(matrix, hi)
         assert hi - lo < PERRON_TOLERANCE
 
 
