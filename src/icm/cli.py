@@ -135,16 +135,9 @@ def _cmd_iterate(args) -> int:
     return 0
 
 
-def _cmd_commute(args) -> int:
+def _cmd_decide(args) -> int:
     f, g = parse_map_file(args.f), parse_map_file(args.g)
-    result = sv.commute(f, g)
-    print("true" if result else "false")
-    return 0 if result else 1
-
-
-def _cmd_strong_commute(args) -> int:
-    f, g = parse_map_file(args.f), parse_map_file(args.g)
-    result = sv.strongly_commute(f, g)
+    result = args.predicate(f, g)
     print("true" if result else "false")
     return 0 if result else 1
 
@@ -301,12 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--out")
 
-    p = add("commute", _cmd_commute, help="decide f∘g = g∘f")
+    # The predicates are looked up on `sv` when the parser is built, so a
+    # wrapper installed on the module beforehand is the one called.
+    p = add("commute", _cmd_decide, help="decide f∘g = g∘f")
+    p.set_defaults(predicate=sv.commute)
     p.add_argument("f")
     p.add_argument("g")
 
-    p = add("strong-commute", _cmd_strong_commute,
+    p = add("strong-commute", _cmd_decide,
             help="decide f∘g⁻¹ = g⁻¹∘f as set-valued maps")
+    p.set_defaults(predicate=sv.strongly_commute)
     p.add_argument("f")
     p.add_argument("g")
 

@@ -391,69 +391,38 @@ def _case_a_points(F: PLMap, G: PLMap) -> list[Fraction]:
 
 def decompose(f: PLMap, g: PLMap) -> Decomposition:
     """Partition [0,1] into blocks that are invariant (case a), swapped by f
-    (case b), or swapped by both maps (case c), with the guaranteed openness
-    and monotonicity structure on every block."""
+    or g (case b), or swapped by both maps (case c): a reversing map sends
+    each block onto its mirror block, every other map, the squares of the
+    reversing maps included, keeps it invariant. The guaranteed openness and
+    monotonicity structure is recorded on every block."""
     _require_pair(f, g)
-    rev_f = orientation(f) == REVERSING
-    rev_g = orientation(g) == REVERSING
-
-    if not rev_f and not rev_g:
-        pts = _case_a_points(f, g)
-        blocks = []
-        for J in _intervals_of(pts):
-            _check_invariant(f, J)
-            _check_invariant(g, J)
-            blocks.append(BlockInfo(J, (
-                ("f", RestrictionInfo(_classify(f, J, J), f.image(J), J)),
-                ("g", RestrictionInfo(_classify(g, J, J), g.image(J), J)),
-            )))
-        return Decomposition(tuple(pts), "a", None, tuple(blocks))
-
-    if rev_f and rev_g:
-        f2, g2 = compose(f, f), compose(g, g)
-        pts = _case_a_points(f2, g2)
-        r = sorted(set(pts) | {f(p) for p in pts})
-        r = sorted(set(r) | {g(p) for p in r})
-        blocks = []
-        l = len(r) - 1
-        for i, J in enumerate(_intervals_of(r)):
-            opp = Interval(r[l - i - 1], r[l - i])
-            _check_swap(f, J, opp)
-            _check_swap(g, J, opp)
-            _check_invariant(f2, J)
-            _check_invariant(g2, J)
-            blocks.append(BlockInfo(J, (
-                ("f", RestrictionInfo(_classify(f, J, opp), f.image(J), opp)),
-                ("g", RestrictionInfo(_classify(g, J, opp), g.image(J), opp)),
-                ("f2", RestrictionInfo(_classify(f2, J, J), f2.image(J), J)),
-                ("g2", RestrictionInfo(_classify(g2, J, J), g2.image(J), J)),
-            )))
-        return Decomposition(tuple(r), "c", None, tuple(blocks))
-
-    # exactly one map reverses; it plays the block-swapping role
-    reverser = "f" if rev_f else "g"
-    F, G = (f, g) if rev_f else (g, f)
-    F2 = compose(F, F)
-    pts = _case_a_points(F2, G)
-    r = sorted(set(pts) | {F(p) for p in pts})
+    maps = {"f": f, "g": g}
+    reversers = [k for k, m in maps.items() if orientation(m) == REVERSING]
+    squares = {k + "2": compose(maps[k], maps[k]) for k in reversers}
+    # _case_a_points treats its two maps alike (the block it splits, the
+    # common fixed set, the max/min of both images, the split budget), so
+    # the order of the pair does not change the points.
+    pts = _case_a_points(squares.get("f2", f), squares.get("g2", g))
+    for k in reversers:
+        pts = sorted(set(pts) | {maps[k](p) for p in pts})
+    maps.update(squares)
     blocks = []
-    l = len(r) - 1
-    for i, J in enumerate(_intervals_of(r)):
-        opp = Interval(r[l - i - 1], r[l - i])
-        _check_swap(F, J, opp)
-        _check_invariant(G, J)
-        _check_invariant(F2, J)
-        rev_info = ("f" if rev_f else "g",
-                    RestrictionInfo(_classify(F, J, opp), F.image(J), opp))
-        inv_info = ("g" if rev_f else "f",
-                    RestrictionInfo(_classify(G, J, J), G.image(J), J))
-        sq_info = ("f2" if rev_f else "g2",
-                   RestrictionInfo(_classify(F2, J, J), F2.image(J), J))
-        named = dict([rev_info, inv_info, sq_info])
-        ordered = tuple((k, named[k]) for k in ("f", "g", "f2", "g2")
-                        if k in named)
-        blocks.append(BlockInfo(J, ordered))
-    return Decomposition(tuple(r), "b", reverser, tuple(blocks))
+    for i, J in enumerate(_intervals_of(pts)):
+        opp = Interval(pts[-i - 2], pts[-i - 1])
+        restrictions = []
+        for k, m in maps.items():
+            if k in reversers:
+                _check_swap(m, J, opp)
+                K = opp
+            else:
+                _check_invariant(m, J)
+                K = J
+            restrictions.append(
+                (k, RestrictionInfo(_classify(m, J, K), m.image(J), K)))
+        blocks.append(BlockInfo(J, tuple(restrictions)))
+    case = "abc"[len(reversers)]
+    reverser = reversers[0] if case == "b" else None
+    return Decomposition(tuple(pts), case, reverser, tuple(blocks))
 
 
 def _intervals_of(points) -> list[Interval]:
@@ -501,14 +470,14 @@ def verify_decomposition(f: PLMap, g: PLMap, D: Decomposition) -> Report:
     l = len(pts) - 1
     ivs = [Interval(a, b) for a, b in zip(pts, pts[1:])]
 
-    if D.case == "a":
-        F2 = G2 = None
-        F, G = f, g
-    else:
+    # The squares are kept for the stored-block check below.
+    named_maps = {"f": f, "g": g}
+    if D.case != "a":
         reverser = D.reverser if D.case == "b" else "f"
         F, G = (f, g) if reverser == "f" else (g, f)
-        F2 = compose(F, F)
-        G2 = compose(G, G) if D.case == "c" else None
+        F2 = named_maps["f2" if reverser == "f" else "g2"] = compose(F, F)
+        if D.case == "c":
+            G2 = named_maps["g2"] = compose(G, G)
 
     for i, J in enumerate(ivs):
         tag = f"block[{i}]={J}"
@@ -558,7 +527,6 @@ def verify_decomposition(f: PLMap, g: PLMap, D: Decomposition) -> Report:
                 report.add(f"{tag} folded partner forces monotone swap",
                            F.is_monotone_on(J) and F.is_monotone_on(opp))
 
-    named_maps = {"f": f, "g": g}
     for i, block in enumerate(D.blocks):
         if i >= len(ivs) or block.interval != ivs[i]:
             report.add(f"stored-block[{i}] matches partition", False)

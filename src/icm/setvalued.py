@@ -227,9 +227,12 @@ def commute(f: PLMap, g: PLMap) -> bool:
 
 
 def strongly_commute(f: PLMap, g: PLMap) -> bool:
-    """Set equality f∘g⁻¹(x) = g⁻¹∘f(x) for every x, decided on the graphs."""
-    if not commute(f, g):
-        return False
+    """Set equality f∘g⁻¹(x) = g⁻¹∘f(x) for every x, decided on the graphs.
+
+    Equality of the graphs alone decides it, with no commutation precheck:
+    if the forward graph equals the pullback graph, each (g(t), f(t)) lies
+    in the zero set of g(y) - f(x), so g(f(t)) = f(g(t)) for every t.
+    """
     return graphs_equal(forward_graph(f, g), pullback_graph(f, g))
 
 

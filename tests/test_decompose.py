@@ -114,6 +114,8 @@ class TestDecompose:
         D = decompose(f, g)
         assert D.case == "a"
         assert D.points == (F(0), F(1, 3), F(2, 3), F(1))
+        assert [[k for k, _ in b.restrictions] for b in D.blocks] == \
+            [["f", "g"]] * 3
         tags = [(b.get("f").tag, b.get("g").tag) for b in D.blocks]
         assert tags == [
             ("open-non-monotone", "open-non-monotone"),
@@ -129,6 +131,8 @@ class TestDecompose:
         assert D.points == (F(0), F(1, 2), F(3, 4), F(1))
         assert f.image(interval(0, "1/2")) == interval("3/4", 1)
         assert D.blocks[0].get("f").image == interval("3/4", 1)
+        assert [[k for k, _ in b.restrictions] for b in D.blocks] == \
+            [["f", "g", "f2"]] * 3
         assert verify_decomposition(f, g, D).passed
 
     def test_block_swap_roles_swapped(self):
@@ -137,12 +141,21 @@ class TestDecompose:
         assert D.case == "b"
         assert D.reverser == "g"
         assert D.points == (F(0), F(1, 2), F(3, 4), F(1))
+        assert [[k for k, _ in b.restrictions] for b in D.blocks] == \
+            [["f", "g", "g2"]] * 3
         assert verify_decomposition(g, f, D).passed
+        first = D.as_dict()["intervals"][0]
+        assert list(first["maps"]) == ["f", "g", "g2"]
+        assert first["maps"]["g"]["codomain"] == ["3/4", "1"]
+        assert first["maps"]["f"]["codomain"] == ["0", "1/2"]
+        assert first["maps"]["g2"]["codomain"] == ["0", "1/2"]
 
     def test_double_reversal_case_c(self):
         f, g = double_reversal_pair()
         D = decompose(f, g)
         assert D.case == "c"
+        assert [[k for k, _ in b.restrictions] for b in D.blocks] == \
+            [["f", "g", "f2", "g2"]] * len(D.blocks)
         assert verify_decomposition(f, g, D).passed
         l = len(D.points) - 1
         for i, block in enumerate(D.blocks):

@@ -94,6 +94,8 @@ class TestGraphsEqual:
             fwd, pull = forward_graph(f, g), pullback_graph(f, g)
             same = graphs_equal(fwd, pull)
             assert same == (fwd.covers(pull) and pull.covers(fwd)), (f, g)
+            assert strongly_commute(f, g) == same, (f, g)
+            assert not same or commute(f, g), (f, g)
             equal += same
         assert len(pairs) >= 1000 and equal >= 150
 
@@ -117,6 +119,10 @@ class TestCommutation:
         assert strongly_commute(*invariant_chain_pair())
         assert strongly_commute(*block_swap_pair())
         assert strongly_commute(*double_reversal_pair())
+        # non-commuting pairs, decided by the graphs alone
+        assert not strongly_commute(*hat_demo_pair())
+        assert not strongly_commute(
+            tent(2), make_plmap([(0, 0), ("1/2", 1), (1, "1/2")]))
 
     def test_forward_inside_pullback_for_commuting(self, commuting_corpus):
         for name, f, g in commuting_corpus:
