@@ -1,7 +1,8 @@
 """Command-line front end: `icm <verb> [args] [--out PATH] [--format ...]`.
 
 Exit codes: 0 success (or boolean true), 1 boolean false / failed checks,
-2 usage, parse, or domain errors, 3 violated preconditions, 4 resource cap.
+2 usage, parse, or domain errors (an unreadable or non-UTF-8 map file and an
+unwritable `--out` path included), 3 violated preconditions, 4 resource cap.
 The environment variable ICM_BREAKPOINT_CAP overrides the breakpoint cap
 used by iterated composition, lap counting and `tent`; it must be a positive
 integer.
@@ -10,6 +11,7 @@ integer.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,15 +22,14 @@ from . import oracle, pwl, setvalued as sv
 from .core import DEFAULT_BREAKPOINT_CAP, PLMap, compose, iterate, rat, tent
 from .decompose import (common_fixed_point, decompose,
                         primary_critical_values)
-from .errors import (DomainError, IcmError, InternalInvariantError,
-                     NotFoundError, ParseError, PreconditionError,
+from .errors import (DomainError, IcmError, ParseError, PreconditionError,
                      ResourceError)
 
 
 def parse_map_file(path: str) -> PLMap:
     try:
         return pwl.read_map(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -51,8 +52,11 @@ def _write_out(text: str, out: str | None) -> None:
         if text and not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc}") from exc
 
 
 # -- graph emission ------------------------------------------------------------
@@ -137,7 +141,7 @@ def _cmd_iterate(args) -> int:
 
 def _cmd_decide(args) -> int:
     f, g = parse_map_file(args.f), parse_map_file(args.g)
-    result = args.predicate(f, g)
+    result = getattr(sv, args.predicate)(f, g)
     print("true" if result else "false")
     return 0 if result else 1
 
@@ -152,16 +156,9 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _cmd_hats(args) -> int:
+def _cmd_features(args) -> int:
     f, g = parse_map_file(args.f), parse_map_file(args.g)
-    for feat in sv.hats(f, g):
-        print(f"{feat.location[0]} {feat.location[1]} {feat.kind}")
-    return 0
-
-
-def _cmd_endpoints(args) -> int:
-    f, g = parse_map_file(args.f), parse_map_file(args.g)
-    for feat in sv.endpoints(f, g):
+    for feat in getattr(sv, args.feature)(f, g):
         print(f"{feat.location[0]} {feat.location[1]} {feat.kind}")
     return 0
 
@@ -265,6 +262,7 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icm",
@@ -294,16 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--out")
 
-    # The predicates are looked up on `sv` when the parser is built, so a
-    # wrapper installed on the module beforehand is the one called.
+    # The parser is built once per process, so it holds the names of the
+    # `sv` functions, not the functions: they are looked up at call time, and
+    # a wrapper installed on the module after the first call is the one called.
     p = add("commute", _cmd_decide, help="decide f∘g = g∘f")
-    p.set_defaults(predicate=sv.commute)
+    p.set_defaults(predicate="commute")
     p.add_argument("f")
     p.add_argument("g")
 
     p = add("strong-commute", _cmd_decide,
             help="decide f∘g⁻¹ = g⁻¹∘f as set-valued maps")
-    p.set_defaults(predicate=sv.strongly_commute)
+    p.set_defaults(predicate="strongly_commute")
     p.add_argument("f")
     p.add_argument("g")
 
@@ -315,11 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.add_argument("--out")
 
-    p = add("hats", _cmd_hats, help="hats of the graph of g⁻¹∘f")
+    p = add("hats", _cmd_features, help="hats of the graph of g⁻¹∘f")
+    p.set_defaults(feature="hats")
     p.add_argument("f")
     p.add_argument("g")
 
-    p = add("endpoints", _cmd_endpoints, help="endpoints of the graph of g⁻¹∘f")
+    p = add("endpoints", _cmd_features, help="endpoints of the graph of g⁻¹∘f")
+    p.set_defaults(feature="endpoints")
     p.add_argument("f")
     p.add_argument("g")
 
@@ -364,22 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PreconditionError, NotFoundError, InternalInvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except IcmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, DomainError):
+            return 2
+        return 4 if isinstance(exc, ResourceError) else 3
 
 
 if __name__ == "__main__":

@@ -52,10 +52,6 @@ class PrimaryValues:
         return tuple(v for v in self.values if ZERO < v < ONE)
 
     @property
-    def exacting_points(self) -> tuple[Fraction, ...]:
-        return tuple(t for t in self.exacting if t is not None)
-
-    @property
     def exacting_complete(self) -> bool:
         return all(t is not None for t in self.exacting)
 

@@ -193,6 +193,33 @@ class TestCli:
         missing = maps_dir / "missing.pwl"
         code, _, _ = run_cli(["eval", missing, "0"], capsys)
         assert code == 2
+        not_utf8 = maps_dir / "utf16.pwl"
+        not_utf8.write_bytes(b"\xff\xfe0\x00 \x000\x00\n\x00")
+        code, _, err = run_cli(["eval", not_utf8, "0"], capsys)
+        assert code == 2 and err.startswith("error: cannot read")
+        code, _, err = run_cli(
+            ["tent", "3", "--out", maps_dir / "no-such-dir" / "T3.pwl"], capsys)
+        assert code == 2 and err.startswith("error: cannot write")
+
+    def test_library_functions_looked_up_at_call_time(self, maps_dir, capsys,
+                                                      monkeypatch):
+        # The parser is built once; a wrapper installed on `icm.setvalued`
+        # after that must still be the function the verb calls.
+        run_cli(["tent", "2"], capsys)
+        calls = {}
+        for name in ("strongly_commute", "commute", "hats", "endpoints"):
+            original = getattr(icm.setvalued, name)
+
+            def counting(f, g, _name=name, _original=original):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(f, g)
+
+            monkeypatch.setattr(icm.setvalued, name, counting)
+        t3, t4 = maps_dir / "T3.pwl", maps_dir / "T4.pwl"
+        for verb in ("strong-commute", "commute", "hats", "endpoints"):
+            run_cli([verb, t3, t4], capsys)
+        assert calls == {"strongly_commute": 1, "commute": 1, "hats": 1,
+                         "endpoints": 1}
 
     def test_precondition_exit_3(self, maps_dir, capsys):
         code, _, err = run_cli(
