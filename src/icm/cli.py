@@ -112,11 +112,7 @@ def _svg(segments: sv.SegmentSet, xlines, ylines) -> str:
 # -- command handlers ------------------------------------------------------------
 
 def _cmd_tent(args) -> int:
-    cap = _breakpoint_cap()
-    if args.n + 1 > cap:
-        raise ResourceError(
-            f"tent {args.n} needs {args.n + 1} breakpoints, above the cap {cap}")
-    _write_out(pwl.dump_map_text(tent(args.n)), args.out)
+    _write_out(pwl.dump_map_text(tent(args.n, cap=_breakpoint_cap())), args.out)
     return 0
 
 

@@ -85,6 +85,18 @@ def interval(lo, hi) -> Interval:
     return Interval(rat(lo), rat(hi))
 
 
+def _interpolate(s0: Fraction, t0: Fraction, s1: Fraction, t1: Fraction,
+                 s: Fraction) -> Fraction:
+    """t at s on the line through (s0, t0) and (s1, t1); an end comes back
+    as it is. Called with (x, y) it evaluates a linear piece, with (y, x)
+    it inverts one."""
+    if s == s0:
+        return t0
+    if s == s1:
+        return t1
+    return t0 + (t1 - t0) * (s - s0) / (s1 - s0)
+
+
 @dataclass(frozen=True)
 class CriticalSet:
     """Interior local extrema of a map: ordered (point, 'max'|'min') pairs."""
@@ -158,7 +170,7 @@ def _build_fixed_set(points: Iterable[Fraction], segs: Iterable[Interval]) -> Fi
 
 
 # A region piece is an x-interval with endpoint-inclusion flags, used to
-# represent preimages of (half-)open value bands exactly.
+# represent preimages of open value bands exactly.
 _Piece = tuple[Fraction, Fraction, bool, bool]
 
 
@@ -197,7 +209,9 @@ class PLMap:
             else:
                 merged.append(p)
         object.__setattr__(self, "points", tuple(merged))
-        object.__setattr__(self, "_xs", tuple(x for x, _ in merged))
+        # A list, not a generator: tuple(generator) is resized from length
+        # 10, and CPython's tuple free lists then grow by one block per map.
+        object.__setattr__(self, "_xs", tuple([x for x, _ in merged]))
 
     # -- basic queries ------------------------------------------------------
 
@@ -218,26 +232,22 @@ class PLMap:
         i = bisect.bisect_left(self._xs, x) - 1
         return min(max(i, 0), len(self.points) - 2)
 
-    def slope(self, i: int) -> Fraction:
-        (x0, y0), (x1, y1) = self.points[i], self.points[i + 1]
-        return (y1 - y0) / (x1 - x0)
-
     def __call__(self, x) -> Fraction:
         x = rat(x)
         if not (ZERO <= x <= ONE):
             raise DomainError(f"argument {x} outside [0, 1]")
         i = self._segment_right(x)
         (x0, y0), (x1, y1) = self.points[i], self.points[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return _interpolate(x0, y0, x1, y1, x)
 
     def critical_points(self) -> CriticalSet:
         entries = []
-        for i in range(1, len(self.points) - 1):
-            before, after = self.slope(i - 1), self.slope(i)
-            if before > 0 > after:
-                entries.append((self.points[i][0], "max"))
-            elif before < 0 < after:
-                entries.append((self.points[i][0], "min"))
+        for (_, before), (x, y), (_, after) in zip(
+                self.points, self.points[1:], self.points[2:]):
+            if before < y > after:
+                entries.append((x, "max"))
+            elif before > y < after:
+                entries.append((x, "min"))
         return CriticalSet(tuple(entries))
 
     def is_onto(self) -> bool:
@@ -257,34 +267,27 @@ class PLMap:
         found: set[Fraction] = set()
         for (x0, y0), (x1, y1) in self.segments():
             if min(y0, y1) <= y <= max(y0, y1):
-                found.add(x0 + (y - y0) * (x1 - x0) / (y1 - y0))
+                found.add(_interpolate(y0, x0, y1, x1, y))
         return sorted(found)
 
-    def _region_pieces(self, lo: Fraction | None, hi: Fraction | None,
-                       strict_lo: bool, strict_hi: bool) -> list[_Piece]:
-        """Connected components of {x : f(x) in the given value band}.
+    def _region_pieces(self, lo: Fraction, hi: Fraction,
+                       strict: bool) -> list[_Piece]:
+        """Connected components of {x : lo <= f(x) <= hi}, or of
+        {x : lo < f(x) < hi} when ``strict``.
 
-        ``lo=None`` / ``hi=None`` leave that side unbounded; the strictness
-        flags exclude the corresponding boundary value. Components come back
-        sorted, as (a, b, a_included, b_included).
+        Components come back sorted, as (a, b, a_included, b_included).
         """
         pieces: list[_Piece] = []
         for (x0, y0), (x1, y1) in self.segments():
-            ymin, ymax = (y0, y1) if y0 <= y1 else (y1, y0)
-            wlo = ymin if lo is None else max(lo, ymin)
-            whi = ymax if hi is None else min(hi, ymax)
+            wlo, whi = max(lo, min(y0, y1)), min(hi, max(y0, y1))
             if wlo > whi:
                 continue
-            slope = (y1 - y0) / (x1 - x0)
-            xa = x0 + (wlo - y0) / slope
-            xb = x0 + (whi - y0) / slope
+            xa = _interpolate(y0, x0, y1, x1, wlo)
+            xb = _interpolate(y0, x0, y1, x1, whi)
+            incl_a = not strict or lo < wlo < hi
+            incl_b = not strict or lo < whi < hi
             if xa > xb:
-                xa, xb = xb, xa
-            va, vb = (wlo, whi) if slope > 0 else (whi, wlo)
-            incl_a = not ((strict_lo and lo is not None and va == lo)
-                          or (strict_hi and hi is not None and va == hi))
-            incl_b = not ((strict_lo and lo is not None and vb == lo)
-                          or (strict_hi and hi is not None and vb == hi))
+                xa, xb, incl_a, incl_b = xb, xa, incl_b, incl_a
             if xa == xb and not (incl_a and incl_b):
                 continue
             pieces.append((xa, xb, incl_a, incl_b))
@@ -303,20 +306,12 @@ class PLMap:
         return [tuple(m) for m in merged]
 
     def preimage_interval(self, J: Interval) -> list[Interval]:
-        pieces = self._region_pieces(J.lo, J.hi, False, False)
+        pieces = self._region_pieces(J.lo, J.hi, strict=False)
         return [Interval(a, b) for a, b, _, _ in pieces]
 
     def band_components(self, lo, hi) -> list[_Piece]:
         """Components of {x : lo < f(x) < hi} (relatively open in [0,1])."""
-        return self._region_pieces(rat(lo), rat(hi), True, True)
-
-    def sublevel_connected(self, v, strict: bool) -> bool:
-        """Whether {f < v} (strict) or {f <= v} has at most one component."""
-        return len(self._region_pieces(None, rat(v), False, strict)) <= 1
-
-    def superlevel_connected(self, v, strict: bool) -> bool:
-        """Whether {f > v} (strict) or {f >= v} has at most one component."""
-        return len(self._region_pieces(rat(v), None, strict, False)) <= 1
+        return self._region_pieces(rat(lo), rat(hi), strict=True)
 
     # -- shape predicates -----------------------------------------------------
 
@@ -345,10 +340,12 @@ class PLMap:
                     return False
                 if kind == "min" and v != K.lo:
                     return False
-        first_up = self.slope(self._segment_right(J.lo)) > 0
+        i = self._segment_right(J.lo)
+        first_up = self.points[i][1] < self.points[i + 1][1]
         if self(J.lo) != (K.lo if first_up else K.hi):
             return False
-        last_up = self.slope(self._segment_left(J.hi)) > 0
+        i = self._segment_left(J.hi)
+        last_up = self.points[i][1] < self.points[i + 1][1]
         if self(J.hi) != (K.hi if last_up else K.lo):
             return False
         return True
@@ -362,17 +359,16 @@ class PLMap:
             a, b = max(x0, within.lo), min(x1, within.hi)
             if a > b:
                 continue
-            slope = (y1 - y0) / (x1 - x0)
-            if slope == 1:
-                if y0 == x0:  # the whole piece sits on the diagonal
-                    if a < b:
-                        segs.append(Interval(a, b))
-                    else:
-                        points.add(a)
-                continue
-            star = (y0 - slope * x0) / (1 - slope)
-            if a <= star <= b:
-                points.add(star)
+            d0, d1 = y0 - x0, y1 - x1  # f(x) - x at the piece ends
+            if d0 == d1 == 0:  # the whole piece sits on the diagonal
+                if a < b:
+                    segs.append(Interval(a, b))
+                else:
+                    points.add(a)
+            elif min(d0, d1) <= 0 <= max(d0, d1):
+                root = _interpolate(d0, x0, d1, x1, ZERO)
+                if a <= root <= b:
+                    points.add(root)
         return _build_fixed_set(points, segs)
 
     # -- restriction ----------------------------------------------------------
@@ -402,10 +398,16 @@ def identity_map() -> PLMap:
     return PLMap(((ZERO, ZERO), (ONE, ONE)))
 
 
-def tent(n: int) -> PLMap:
-    """Symmetric n-tent map: breakpoints at i/n alternating between 0 and 1."""
+def tent(n: int, cap: int | None = DEFAULT_BREAKPOINT_CAP) -> PLMap:
+    """Symmetric n-tent map: breakpoints at i/n alternating between 0 and 1.
+
+    Its n + 1 breakpoints are checked against ``cap`` before any is built.
+    """
     if not isinstance(n, int) or n < 2:
         raise DomainError("tent maps need an integer number of branches >= 2")
+    if cap is not None and n + 1 > cap:
+        raise ResourceError(
+            f"tent {n} needs {n + 1} breakpoints, above the cap {cap}")
     return PLMap(tuple((Fraction(i, n), ZERO if i % 2 == 0 else ONE)
                        for i in range(n + 1)))
 
@@ -438,13 +440,11 @@ def iterate(f: PLMap, k: int, cap: int | None = DEFAULT_BREAKPOINT_CAP) -> PLMap
 
 
 def is_homeomorphism(h: PLMap) -> bool:
-    slopes = [h.slope(i) for i in range(len(h.points) - 1)]
-    increasing = all(s > 0 for s in slopes)
-    decreasing = all(s < 0 for s in slopes)
-    if increasing:
-        return h(ZERO) == ZERO and h(ONE) == ONE
-    if decreasing:
-        return h(ZERO) == ONE and h(ONE) == ZERO
+    ys = [y for _, y in h.points]
+    if all(a < b for a, b in zip(ys, ys[1:])):
+        return ys[0] == ZERO and ys[-1] == ONE
+    if all(a > b for a, b in zip(ys, ys[1:])):
+        return ys[0] == ONE and ys[-1] == ZERO
     return False
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import (FULL, Interval, PLMap, ZERO, ONE, compose)
+from .core import (FULL, Interval, PLMap, ZERO, ONE, _interpolate, compose)
 from .errors import (DomainError, InternalInvariantError, NotFoundError,
                      PreconditionError)
 from .report import Report
@@ -61,11 +61,17 @@ class PrimaryValues:
 
 
 def _is_primary(f: PLMap, v: Fraction) -> bool:
-    below_open = f.sublevel_connected(v, strict=True)
-    above_closed = f.superlevel_connected(v, strict=False)
-    below_closed = f.sublevel_connected(v, strict=False)
-    above_open = f.superlevel_connected(v, strict=True)
-    return (below_open and above_closed) or (below_closed and above_open)
+    # {f < v} (or <=, >, >=) is connected exactly when the breakpoints inside
+    # it have consecutive indices: a linear piece that meets the set has an
+    # end in it, and a piece between two such ends lies inside it.
+    ys = [y for _, y in f.points]
+
+    def connected(inside) -> bool:
+        idx = [i for i, y in enumerate(ys) if inside(y)]
+        return not idx or idx[-1] - idx[0] == len(idx) - 1
+
+    return ((connected(lambda y: y < v) and connected(lambda y: y >= v))
+            or (connected(lambda y: y <= v) and connected(lambda y: y > v)))
 
 
 def primary_critical_values(f: PLMap) -> PrimaryValues:
@@ -149,7 +155,7 @@ def _running_max_vertices(f: PLMap) -> list[tuple[Fraction, Fraction]]:
         if y1 <= cur:
             verts.append((x1, cur))
             continue
-        xc = x0 if y0 == cur else x0 + (cur - y0) * (x1 - x0) / (y1 - y0)
+        xc = _interpolate(y0, x0, y1, x1, cur)
         if xc > verts[-1][0]:
             verts.append((xc, cur))
         verts.append((x1, y1))
@@ -169,7 +175,7 @@ def _pl_nonpositive_somewhere(verts: list[tuple[Fraction, Fraction]]) -> bool:
             if ZERO < mid < ONE:
                 return True
         elif min(d0, d1) < 0 < max(d0, d1):
-            r = x0 + (x1 - x0) * d0 / (d0 - d1)
+            r = _interpolate(d0, x0, d1, x1, ZERO)
             if ZERO < r < ONE:
                 return True
     return False

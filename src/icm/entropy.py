@@ -200,8 +200,8 @@ def _strong_components(adj: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def _perron_bracket(matrix: tuple[tuple[int, ...], ...],
-                    tol: Fraction = PERRON_TOLERANCE) -> tuple[Fraction, Fraction]:
+def _perron_bracket(
+        matrix: tuple[tuple[int, ...], ...]) -> tuple[Fraction, Fraction]:
     """Certified rational bracket for the spectral radius of a nonnegative
     integer matrix.
 
@@ -219,14 +219,14 @@ def _perron_bracket(matrix: tuple[tuple[int, ...], ...],
         local = {v: k for k, v in enumerate(comp)}
         rows = [[(local[w], matrix[v][w]) for w in adj[v] if w in local]
                 for v in comp]
-        lo, hi = _collatz_bracket(rows, tol)
+        lo, hi = _collatz_bracket(rows)
         best_lo = max(best_lo, lo - 1)
         best_hi = max(best_hi, hi - 1)
     return best_lo, best_hi
 
 
-def _collatz_bracket(rows: list[list[tuple[int, int]]],
-                     tol: Fraction) -> tuple[Fraction, Fraction]:
+def _collatz_bracket(
+        rows: list[list[tuple[int, int]]]) -> tuple[Fraction, Fraction]:
     """Bracket for the Perron root of I + B, where B is an irreducible block
     given by the (column, entry) pairs of its nonzero entries, row by row.
 
@@ -249,10 +249,10 @@ def _collatz_bracket(rows: list[list[tuple[int, int]]],
         lo, hi = Fraction(y[i_lo], x[i_lo]), Fraction(y[i_hi], x[i_hi])
         best_lo = max(best_lo, lo)
         best_hi = min(best_hi, hi) if best_hi is not None else hi
-        if best_hi - best_lo < tol:
+        if best_hi - best_lo < PERRON_TOLERANCE:
             break
         shift = max(max(y).bit_length() - 96, 0)
         x = [max(v >> shift, 1) for v in y]
-    if best_hi is None or best_hi - best_lo >= tol:
+    if best_hi is None or best_hi - best_lo >= PERRON_TOLERANCE:
         raise InternalInvariantError("Perron bracket failed to converge")
     return best_lo, best_hi

@@ -1,19 +1,21 @@
 """Exact graphs of the set-valued compositions f∘g⁻¹ and g⁻¹∘f.
 
 The forward graph {(g(t), f(t)) : t in [0,1]} is a polyline; the pullback
-graph {(x, y) : g(y) = f(x)} is computed cell by cell as the zero set of a
-bilinear-free (both maps linear per cell) equation, so it is a finite union
-of closed segments, possibly with isolated points. Commutation and strong
-commutation are decided with rational predicates only, no epsilons anywhere.
+graph {(x, y) : g(y) = f(x)} is built from the common value range of each
+pair of linear pieces, so it is a finite union of closed segments, possibly
+with isolated points. Commutation and strong commutation are decided with
+rational predicates only, no epsilons anywhere.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import Interval, PLMap, Point, ZERO, ONE, compose, rat
+from .core import (Interval, PLMap, Point, ZERO, ONE, _interpolate, compose,
+                   rat)
 from .errors import PreconditionError
 from .report import Report
 
@@ -197,25 +199,28 @@ def forward_graph(f: PLMap, g: PLMap) -> SegmentSet:
 
 
 def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
-    """Graph of g⁻¹∘f: the exact zero set of g(y) - f(x) in the unit square."""
+    """Graph of g⁻¹∘f: the exact zero set of g(y) - f(x) in the unit square.
+
+    On a piece of f times a piece of g both maps are linear and strictly
+    monotone, so the zero set there is {(f⁻¹(w), g⁻¹(w))} for w in the common
+    value range [lo, hi] of the two pieces, lo the larger of their minima
+    and hi the smaller of their maxima. When lo <= hi it is the segment from
+    (f⁻¹(lo), g⁻¹(lo)) to (f⁻¹(hi), g⁻¹(hi)), an isolated point when
+    lo == hi; otherwise it is empty.
+    """
+    g_pieces = [(min(v0, v1), max(v0, v1), u0, v0, u1, v1)
+                for (u0, v0), (u1, v1) in g.segments()]
     pieces: list[Segment] = []
-    for (x0, y0f), (x1, y1f) in f.segments():
-        af = (y1f - y0f) / (x1 - x0)
-        bf = y0f - af * x0
-        for (u0, v0), (u1, v1) in g.segments():
-            ag = (v1 - v0) / (u1 - u0)
-            bg = v0 - ag * u0
-            # g(y) = f(x) on the cell: y = (af*x + bf - bg)/ag, clipped.
-            slope = af / ag
-            inter = (bf - bg) / ag
-            ya, yb = slope * x0 + inter, slope * x1 + inter
-            lo, hi = (ya, yb) if ya <= yb else (yb, ya)
-            wlo, whi = max(lo, u0), min(hi, u1)
-            if wlo > whi:
-                continue
-            xa = (wlo - inter) / slope
-            xb = (whi - inter) / slope
-            pieces.append(Segment((xa, wlo), (xb, whi)))
+    for (x0, y0), (x1, y1) in f.segments():
+        f_lo, f_hi = min(y0, y1), max(y0, y1)
+        for g_lo, g_hi, u0, v0, u1, v1 in g_pieces:
+            lo, hi = max(f_lo, g_lo), min(f_hi, g_hi)
+            if lo <= hi:
+                pieces.append(Segment(
+                    (_interpolate(y0, x0, y1, x1, lo),
+                     _interpolate(v0, u0, v1, u1, lo)),
+                    (_interpolate(y0, x0, y1, x1, hi),
+                     _interpolate(v0, u0, v1, u1, hi))))
     return segment_set(pieces)
 
 
@@ -314,16 +319,11 @@ def _profile_with_features(f: PLMap, g: PLMap) -> tuple[
     h = [0] * n
     for feat in hat_list:
         h[crit.index(feat.location[0])] += 1
-    gaps = [ZERO, *crit, ONE]
     e = [0] * (n + 1)
     for feat in end_list:
-        x = feat.location[0]
-        for j in range(n + 1):
-            left_ok = gaps[j] <= x if j == 0 else gaps[j] < x
-            right_ok = x <= gaps[j + 1] if j == n else x < gaps[j + 1]
-            if left_ok and right_ok:
-                e[j] += 1
-                break
+        # An endpoint's x is 0, 1 or a point not critical for f, so it never
+        # equals a critical point: the critical points below it number its gap.
+        e[bisect.bisect_left(crit, feat.location[0])] += 1
     total_h, total_e = len(hat_list), len(end_list)
     has_end_hat = any(feat.kind == "end-hat" for feat in hat_list)
     if n == 0:
@@ -379,24 +379,20 @@ def parametrization_coincidences(f: PLMap, g: PLMap):
     parameters, and collinear retraced portions (which a locally one-to-one
     parametrization never has).
     """
-    poly = forward_polyline(f, g)
-    pieces = []
-    for (t0, a), (t1, b) in zip(poly, poly[1:]):
-        pieces.append((t0, t1, Segment(a, b), a, b))
+    vertices = [p for _, p in forward_polyline(f, g)]
+    pieces = [Segment(a, b) for a, b in zip(vertices, vertices[1:])]
     points: set[Point] = set()
     overlaps: list[tuple[Point, Point]] = []
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
-            _, _, si, ai, bi = pieces[i]
-            _, _, sj, aj, bj = pieces[j]
-            hit = _segment_pair_intersection(si, sj)
+            hit = _segment_pair_intersection(pieces[i], pieces[j])
             if hit is None:
                 continue
             if hit[0] == "overlap":
                 overlaps.append((hit[1], hit[2]))
                 continue
             point = hit[1]
-            if j == i + 1 and point == bi and point == aj:
+            if j == i + 1 and point == vertices[i + 1]:
                 continue  # shared vertex reached at the same parameter
             points.add(point)
     return sorted(points), overlaps

@@ -80,6 +80,21 @@ def random_onto_map(rng: random.Random, max_interior: int = 5,
         return PLMap(tuple(points))
 
 
+def random_into_map(rng: random.Random, max_interior: int = 5,
+                    denom: int = 12) -> PLMap:
+    """A map whose values lie in a band [a/denom, b/denom] other than [0, 1]."""
+    while True:
+        k = rng.randint(1, max_interior)
+        a = rng.randint(0, denom - 1)
+        b = rng.randint(a + 1, denom)
+        ys = [rng.randint(a, b) for _ in range(k + 2)]
+        if (a, b) == (0, denom) or any(p == q for p, q in zip(ys, ys[1:])):
+            continue
+        xs = [0, *sorted(rng.sample(range(1, denom), k)), denom]
+        return PLMap(tuple((Fraction(x, denom), Fraction(y, denom))
+                           for x, y in zip(xs, ys)))
+
+
 def random_homeo(rng: random.Random, max_interior: int = 3,
                  denom: int = 16, decreasing: bool = False) -> PLMap:
     k = rng.randint(0, max_interior)

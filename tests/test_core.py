@@ -1,14 +1,15 @@
 """PL map construction, evaluation, composition, preimages, fixed points."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icm import (DomainError, Interval, PLMap, ResourceError, compose,
-                 conjugate, identity_map, interval, iterate, make_plmap, rat,
-                 tent)
+from icm import (DEFAULT_BREAKPOINT_CAP, DomainError, Interval, PLMap,
+                 ResourceError, compose, conjugate, identity_map, interval,
+                 iterate, make_plmap, rat, tent)
 from conftest import hat_demo_pair, invariant_chain_pair, random_onto_map
 
 F = Fraction
@@ -41,6 +42,19 @@ class TestConstruction:
     def test_tent_needs_two_branches(self):
         with pytest.raises(DomainError):
             tent(1)
+
+    def test_tent_cap_checked_before_building(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                tent(DEFAULT_BREAKPOINT_CAP + 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(tent(5, cap=6).points) == 6
+        with pytest.raises(ResourceError):
+            tent(5, cap=5)
 
     def test_collinear_merge_gives_identity(self):
         merged = make_plmap([(0, 0), ("1/2", "1/2"), (1, 1)])

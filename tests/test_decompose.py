@@ -10,9 +10,10 @@ from icm import (FULL, Decomposition, Interval, PreconditionError,
                  interval, lap, make_plmap, orientation,
                  primary_critical_values, split_common_fixed,
                  strongly_commute, tent, verify_decomposition)
+from icm.decompose import _is_primary
 from conftest import (block_swap_pair, double_reversal_pair,
-                      invariant_chain_pair, random_homeo,
-                      wiggly_staircase_map)
+                      invariant_chain_pair, random_homeo, random_into_map,
+                      random_onto_map, wiggly_staircase_map)
 
 F = Fraction
 
@@ -58,6 +59,32 @@ class TestPrimaryValues:
         crit_values = {f(c) for c, _ in f.critical_points()}
         for v in pv.interior_values:
             assert v in crit_values
+
+    def test_primary_rule_against_component_counts(self):
+        def connected(components):
+            return len(components) <= 1
+
+        def reference(f, v):
+            below_closed = connected(f.preimage_interval(Interval(F(0), v)))
+            above_closed = connected(f.preimage_interval(Interval(v, F(1))))
+            below_open = connected(f.band_components(-1, v))
+            above_open = connected(f.band_components(v, 2))
+            return ((below_open and above_closed)
+                    or (below_closed and above_open))
+
+        rng = random.Random(71)
+        maps = [tent(n) for n in range(2, 7)] + [wiggly_staircase_map()]
+        for denom in (6, 12):
+            maps += [random_onto_map(rng, denom=denom) for _ in range(40)]
+            maps += [random_into_map(rng, denom=denom) for _ in range(40)]
+        outcomes = set()
+        for f in maps:
+            values = {y for _, y in f.points} | {F(1, 3), F(1, 2), F(5, 7)}
+            for v in sorted(values):
+                expected = reference(f, v)
+                assert _is_primary(f, v) == expected, (f, v)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestOrientation:

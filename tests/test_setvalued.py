@@ -1,19 +1,20 @@
 """Set-valued composition graphs, commutation decisions, hats and endpoints."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from icm import (PreconditionError, Segment, commute, compose, endpoints,
-                 forward_graph, forward_polyline, graphs_equal, hats,
+from icm import (PLMap, PreconditionError, Segment, commute, compose,
+                 endpoints, forward_graph, forward_polyline, graphs_equal, hats,
                  identity_map, make_plmap, profile, pullback_graph,
-                 segment_set, strongly_commute, tent,
+                 sample_pullback, segment_set, strongly_commute, tent,
                  verify_strong_consequences)
 from icm.setvalued import parametrization_coincidences
 from conftest import (block_swap_pair, conjugated_tent_pair, coprime_pair,
                       double_reversal_pair, hat_demo_pair,
-                      invariant_chain_pair, random_onto_map)
+                      invariant_chain_pair, random_into_map, random_onto_map)
 
 F = Fraction
 
@@ -21,6 +22,27 @@ F = Fraction
 def polyline_set(coords):
     pts = [(F(a), F(b)) for a, b in coords]
     return segment_set(Segment(a, b) for a, b in zip(pts, pts[1:]))
+
+
+def grid_points(graph, n):
+    """The points (i/n, j/n) of a segment arrangement, found by walking each
+    segment along both axes (a vertical segment has a single x)."""
+    found = set()
+    for s in graph:
+        for axis in (0, 1):
+            (u0, v0), (u1, v1) = ((p[axis], p[1 - axis]) for p in (s.a, s.b))
+            lo, hi = min(u0, u1), max(u0, u1)
+            for i in range(math.ceil(lo * n), math.floor(hi * n) + 1):
+                u = F(i, n)
+                v = v0 if u0 == u1 else v0 + (v1 - v0) * (u - u0) / (u1 - u0)
+                if (v * n).denominator == 1:
+                    found.add((u, v) if axis == 0 else (v, u))
+    return found
+
+
+def squeezed(f, lo, hi):
+    """f with its values moved affinely from [0, 1] onto [lo, hi]."""
+    return PLMap(tuple((x, lo + (hi - lo) * y) for x, y in f.points))
 
 
 class TestForwardGraph:
@@ -60,6 +82,30 @@ class TestPullbackGraph:
         f, g = hat_demo_pair()
         pull = pullback_graph(f, g)
         assert (F(1, 3), F(0)) in pull.isolated_points()
+
+    def test_grid_points_match_sample_both_ways(self):
+        rng = random.Random(60612)
+        pairs, touching = [], []
+        for denom in (6, 12):
+            draws = (random_onto_map, random_into_map)
+            for draw_f in draws:
+                for draw_g in draws:
+                    pairs += [(draw_f(rng, denom=denom),
+                               draw_g(rng, denom=denom)) for _ in range(12)]
+            # The ranges meet only in c, so the graph is {f = c} x {g = c}:
+            # isolated points, each from a cell whose value ranges touch.
+            for _ in range(6):
+                c = F(rng.randint(1, denom - 1), denom)
+                touching.append((
+                    squeezed(random_onto_map(rng, denom=denom), F(0), c),
+                    squeezed(random_onto_map(rng, denom=denom), c, F(1))))
+        for f, g in pairs + touching:
+            for p, q in ((f, g), (g, f)):
+                sample = sample_pullback(p, q, 24).points
+                assert grid_points(pullback_graph(p, q), 24) == sample
+        for f, g in touching:
+            graph = pullback_graph(f, g)
+            assert graph.segments and not graph.proper_segments()
 
     def test_reflection_swaps_roles(self):
         rng = random.Random(11)
