@@ -204,7 +204,10 @@ class PLMap:
         merged: list[Point] = [pts[0], pts[1]]
         for p in pts[2:]:
             (x0, y0), (x1, y1) = merged[-2], merged[-1]
-            if (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
+            # No piece is constant, so a turn is never collinear: the
+            # cross product is needed only where the direction holds.
+            if (y0 < y1) == (y1 < p[1]) and \
+                    (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
                 merged[-1] = p
             else:
                 merged.append(p)
@@ -413,20 +416,39 @@ def tent(n: int, cap: int | None = DEFAULT_BREAKPOINT_CAP) -> PLMap:
 
 
 def compose(f: PLMap, g: PLMap, cap: int | None = None) -> PLMap:
-    """Exact composition f ∘ g.
+    """Exact composition f ∘ g, built in one ordered walk along g.
 
-    The breakpoints of g are refined by the g-preimages of f's interior
-    breakpoints, so the result is linear on every piece; canonicalization
-    then merges whatever turned out collinear.
+    Each piece (x0, y0) -> (x1, y1) of g gives its left end (x0, f(y0)),
+    then one point for every breakpoint b of f strictly between y0 and y1:
+    the x where the piece takes the value b, with value f(b). These b are a
+    run of f's breakpoints, read backwards on a falling piece, so the points
+    come out sorted; they are distinct, since a point inside a piece is no
+    breakpoint of g and a piece is injective. Canonicalization then merges
+    whatever turned out collinear.
+
+    The breakpoint count comes from the run bounds alone and is checked
+    against ``cap`` before any breakpoint is built.
     """
-    xs = set(g.xs)
-    for bx in f.xs[1:-1]:
-        xs.update(g.preimage_point(bx))
-    if cap is not None and len(xs) > cap:
-        raise ResourceError(
-            f"composition needs {len(xs)} breakpoints, above the cap {cap}")
-    grid = sorted(xs)
-    return PLMap(tuple((x, f(g(x))) for x in grid))
+    fxs, fpts = f.xs, f.points
+    runs = []
+    for (_, y0), (_, y1) in g.segments():
+        j0 = bisect.bisect_right(fxs, min(y0, y1))
+        j1 = bisect.bisect_left(fxs, max(y0, y1))
+        runs.append(range(j0, j1) if y0 < y1 else range(j1 - 1, j0 - 1, -1))
+    if cap is not None:
+        count = len(g.points) + sum(map(len, runs))
+        if count > cap:
+            raise ResourceError(
+                f"composition needs {count} breakpoints, above the cap {cap}")
+    out: list[Point] = []
+    for ((x0, y0), (x1, y1)), run in zip(g.segments(), runs):
+        out.append((x0, f(y0)))
+        for j in run:
+            b, v = fpts[j]
+            out.append((_interpolate(y0, x0, y1, x1, b), v))
+    x, y = g.points[-1]
+    out.append((x, f(y)))
+    return PLMap(tuple(out))
 
 
 def iterate(f: PLMap, k: int, cap: int | None = DEFAULT_BREAKPOINT_CAP) -> PLMap:

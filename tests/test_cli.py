@@ -232,6 +232,13 @@ class TestCli:
         code, _, err = run_cli(["iterate", maps_dir / "T3.pwl", "8"], capsys)
         assert code == 4 and "error" in err
 
+    def test_compose_bounded_by_cap(self, maps_dir, capsys, monkeypatch):
+        # T4 ∘ T6 needs 25 breakpoints
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "20")
+        code, out, err = run_cli(
+            ["compose", maps_dir / "T4.pwl", maps_dir / "T6.pwl"], capsys)
+        assert (code, out) == (4, "") and "cap 20" in err
+
     def test_lap_entropy_bounded_by_cap(self, maps_dir, capsys, monkeypatch):
         # lap(T3^4) + 1 = 82 breakpoints already exceed the cap
         monkeypatch.setenv("ICM_BREAKPOINT_CAP", "50")

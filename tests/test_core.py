@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from icm import (DEFAULT_BREAKPOINT_CAP, DomainError, Interval, PLMap,
                  ResourceError, compose, conjugate, identity_map, interval,
                  iterate, make_plmap, rat, tent)
-from conftest import hat_demo_pair, invariant_chain_pair, random_onto_map
+from conftest import (conjugated_tent_pair, hat_demo_pair,
+                      invariant_chain_pair, random_into_map, random_onto_map)
 
 F = Fraction
 
@@ -77,6 +78,38 @@ class TestConstruction:
         with pytest.raises(DomainError):
             rat(0.5)
 
+    def test_merge_matches_cross_product_reference(self):
+        # Values on a coarse grid, so that collinear runs, turns and
+        # same-direction bends all occur.
+        def reference(points):
+            merged = list(points[:2])
+            for p in points[2:]:
+                (x0, y0), (x1, y1) = merged[-2], merged[-1]
+                if (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
+                    merged[-1] = p
+                else:
+                    merged.append(p)
+            return tuple(merged)
+
+        rng = random.Random(880)
+        merges = bends = 0
+        for _ in range(4000):
+            k = rng.randint(1, 8)
+            xs = [0, *sorted(rng.sample(range(1, 12), k)), 12]
+            ys = [rng.randint(0, 4)]
+            while len(ys) < len(xs):
+                y = rng.randint(0, 4)
+                if y != ys[-1]:
+                    ys.append(y)
+            points = tuple((F(x, 12), F(y, 4)) for x, y in zip(xs, ys))
+            expected = reference(points)
+            assert PLMap(points).points == expected
+            merges += len(points) - len(expected)
+            bends += sum((a[1] < b[1]) == (b[1] < c[1])
+                         for a, b, c in zip(expected, expected[1:],
+                                            expected[2:]))
+        assert merges > 500 and bends > 500
+
 
 class TestEval:
     def test_tent4_off_grid(self):
@@ -113,7 +146,68 @@ class TestCriticalPoints:
         assert len(f.critical_points()) == 0
 
 
+def _reference_grid(f, g):
+    """The sorted set of g's breakpoints and the g-preimages of f's
+    interior breakpoints."""
+    xs = set(g.xs)
+    for b in f.xs[1:-1]:
+        xs.update(g.preimage_point(b))
+    return sorted(xs)
+
+
+def _compose_reference(f, g, cap=None):
+    """f ∘ g on the reference grid, each point evaluated through both maps."""
+    grid = _reference_grid(f, g)
+    if cap is not None and len(grid) > cap:
+        raise ResourceError(
+            f"composition needs {len(grid)} breakpoints, above the cap {cap}")
+    return PLMap(tuple((x, f(g(x))) for x in grid))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).points
+    except ResourceError as err:
+        return str(err)
+
+
 class TestCompose:
+    def test_matches_reference_walk(self):
+        rng = random.Random(4410)
+        maps = [tent(n) for n in range(2, 10)]
+        for denom in (6, 7, 12, 30):
+            maps += [random_onto_map(rng, denom=denom) for _ in range(5)]
+            maps += [random_into_map(rng, denom=denom) for _ in range(5)]
+        maps += [conjugated_tent_pair(rng, rng.randint(2, 5),
+                                      rng.randint(2, 5))[i % 2]
+                 for i in range(8)]
+        for _ in range(8):
+            f, k = random_onto_map(rng, max_interior=2, denom=6), rng.randint(2, 4)
+            fk = f
+            for _ in range(k - 1):
+                fk = _compose_reference(f, fk)
+            assert iterate(f, k).points == fk.points
+            maps.append(fk)
+        for case in range(600):
+            f, g = rng.choice(maps), rng.choice(maps)
+            expected = _compose_reference(f, g)
+            assert compose(f, g).points == expected.points
+            if case % 3 == 0:
+                for cap in range(1, len(_reference_grid(f, g)) + 1):
+                    assert (_outcome(compose, f, g, cap=cap)
+                            == _outcome(_compose_reference, f, g, cap=cap))
+
+    def test_cap_checked_before_building(self):
+        f = tent(100)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="needs 10001 breakpoints"):
+                compose(f, f, cap=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
+
     def test_tent_product_law(self):
         assert compose(tent(2), tent(2)) == tent(4)
         assert compose(tent(2), tent(3)) == tent(6)
