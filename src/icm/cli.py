@@ -3,9 +3,9 @@
 Exit codes: 0 success (or boolean true), 1 boolean false / failed checks,
 2 usage, parse, or domain errors (an unreadable or non-UTF-8 map file and an
 unwritable `--out` path included), 3 violated preconditions, 4 resource cap.
-The environment variable ICM_BREAKPOINT_CAP overrides the breakpoint cap
-used by iterated composition, lap counting and `tent`; it must be a positive
-integer.
+The library reads the cap from ICM_BREAKPOINT_CAP (`core._check_cap`), so
+every verb that composes, counts laps, or builds a tent or a pullback graph
+is bounded by it.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import entropy as ent
 from . import oracle, pwl, setvalued as sv
-from .core import DEFAULT_BREAKPOINT_CAP, PLMap, compose, iterate, rat, tent
+from .core import PLMap, compose, iterate, rat, tent
 from .decompose import (common_fixed_point, decompose,
                         primary_critical_values)
 from .errors import (DomainError, IcmError, ParseError, PreconditionError,
@@ -31,19 +30,6 @@ def parse_map_file(path: str) -> PLMap:
         return pwl.read_map(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-def _breakpoint_cap() -> int:
-    raw = os.environ.get("ICM_BREAKPOINT_CAP")
-    if raw is None:
-        return DEFAULT_BREAKPOINT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"ICM_BREAKPOINT_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise DomainError(f"ICM_BREAKPOINT_CAP must be positive, got {cap}")
-    return cap
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -112,7 +98,7 @@ def _svg(segments: sv.SegmentSet, xlines, ylines) -> str:
 # -- command handlers ------------------------------------------------------------
 
 def _cmd_tent(args) -> int:
-    _write_out(pwl.dump_map_text(tent(args.n, cap=_breakpoint_cap())), args.out)
+    _write_out(pwl.dump_map_text(tent(args.n)), args.out)
     return 0
 
 
@@ -124,14 +110,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compose(args) -> int:
     f, g = parse_map_file(args.f), parse_map_file(args.g)
-    _write_out(pwl.dump_map_text(compose(f, g, cap=_breakpoint_cap())), args.out)
+    _write_out(pwl.dump_map_text(compose(f, g)), args.out)
     return 0
 
 
 def _cmd_iterate(args) -> int:
     f = parse_map_file(args.map)
-    _write_out(pwl.dump_map_text(iterate(f, args.k, cap=_breakpoint_cap())),
-               args.out)
+    _write_out(pwl.dump_map_text(iterate(f, args.k)), args.out)
     return 0
 
 
@@ -177,7 +162,7 @@ def _cmd_profile(args) -> int:
 def _cmd_verify(args) -> int:
     f, g = parse_map_file(args.f), parse_map_file(args.g)
     report = sv.verify_strong_consequences(f, g)
-    if args.oracle:
+    if args.oracle is not None:
         agrees = oracle.brute_force_strong_commute(f, g, args.oracle)
         report.add(f"oracle-agreement-n{args.oracle}", agrees)
     print(report)
@@ -228,7 +213,7 @@ def _cmd_primary_values(args) -> int:
     return 0
 
 
-def _format_entropy(f: PLMap, method: str, iters: int, cap: int) -> str:
+def _format_entropy(f: PLMap, method: str, iters: int) -> str:
     if method in ("auto", "markov"):
         data = ent.markov_partition(f)
         if data is not None:
@@ -241,19 +226,20 @@ def _format_entropy(f: PLMap, method: str, iters: int, cap: int) -> str:
         if method == "markov":
             raise PreconditionError(
                 "map is not Markov within the configured bound")
-    seq = ent.entropy_lap(f, iters, cap=cap)
+    seq = ent.entropy_lap(f, iters)
     k, count = seq.laps[-1]
     return f"log({count})/{k} ~= {seq.estimate:.12g}"
 
 
 def _cmd_entropy(args) -> int:
+    if args.iters < 1:
+        raise DomainError("k_max must be a positive integer")
     f = parse_map_file(args.f)
-    cap = _breakpoint_cap()
     if args.g is None:
-        print(_format_entropy(f, args.method, args.iters, cap))
+        print(_format_entropy(f, args.method, args.iters))
         return 0
     g = parse_map_file(args.g)
-    value = ent.entropy_setvalued(f, g, k_max=args.iters, cap=cap)
+    value = ent.entropy_setvalued(f, g, k_max=args.iters)
     print(f"{value:.12g}")
     return 0
 

@@ -9,6 +9,8 @@ so structural equality of two `PLMap`s coincides with pointwise equality.
 from __future__ import annotations
 
 import bisect
+import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -21,25 +23,48 @@ Point = tuple[Fraction, Fraction]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-#: Hard ceiling on breakpoints produced by iterated composition; lap counts
-#: grow like e^(k*h), so unbounded iteration would exhaust memory.
-DEFAULT_BREAKPOINT_CAP = 10**7
+#: Default ceiling on the breakpoints, laps and pullback cells one call may
+#: build. `iterate(tent(3), k)` peaks at 306-324 bytes per breakpoint under
+#: tracemalloc for k = 7..9, so a budget of 1 GiB allows about 3.3 * 10^6.
+DEFAULT_BREAKPOINT_CAP = 3 * 10**6
+
+_RATIONAL = re.compile(r"-?\d+(/\d+)?")
+
+
+def _check_cap(count: int, needs: str) -> None:
+    """Raise ResourceError ("<needs>, above the cap C") when ``count``
+    exceeds the cap: ICM_BREAKPOINT_CAP, read at each call, else the default.
+    Called only where a size is known before anything is built: breakpoints
+    in `tent` and `compose`, laps in `entropy_lap`, cells in `pullback_graph`.
+    """
+    raw = os.environ.get("ICM_BREAKPOINT_CAP")
+    try:
+        cap = DEFAULT_BREAKPOINT_CAP if raw is None else int(raw)
+    except ValueError:
+        raise DomainError(f"ICM_BREAKPOINT_CAP must be an integer, got {raw!r}")
+    if cap < 1:
+        raise DomainError(f"ICM_BREAKPOINT_CAP must be positive, got {cap}")
+    if count > cap:
+        raise ResourceError(f"{needs}, above the cap {cap}")
 
 
 def rat(value) -> Fraction:
-    """Coerce an int, a string like ``2/3``, or a Fraction to a Fraction.
+    """Coerce an int, a Fraction, or a string ``-?digits(/digits)?`` (the
+    .pwl grammar) to a Fraction.
 
-    Floats are rejected: the library is exact end to end.
+    Floats and decimals are rejected: the library is exact end to end.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise DomainError(f"not an integer or a/b rational: {value!r}")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"not an exact rational: {value!r}") from exc
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator: {value!r}") from None
     raise DomainError(f"not an exact rational: {value!r}")
 
 
@@ -401,21 +426,19 @@ def identity_map() -> PLMap:
     return PLMap(((ZERO, ZERO), (ONE, ONE)))
 
 
-def tent(n: int, cap: int | None = DEFAULT_BREAKPOINT_CAP) -> PLMap:
+def tent(n: int) -> PLMap:
     """Symmetric n-tent map: breakpoints at i/n alternating between 0 and 1.
 
-    Its n + 1 breakpoints are checked against ``cap`` before any is built.
+    Its n + 1 breakpoints are checked against the cap before any is built.
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError("tent maps need an integer number of branches >= 2")
-    if cap is not None and n + 1 > cap:
-        raise ResourceError(
-            f"tent {n} needs {n + 1} breakpoints, above the cap {cap}")
+    _check_cap(n + 1, f"tent {n} needs {n + 1} breakpoints")
     return PLMap(tuple((Fraction(i, n), ZERO if i % 2 == 0 else ONE)
                        for i in range(n + 1)))
 
 
-def compose(f: PLMap, g: PLMap, cap: int | None = None) -> PLMap:
+def compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact composition f ∘ g, built in one ordered walk along g.
 
     Each piece (x0, y0) -> (x1, y1) of g gives its left end (x0, f(y0)),
@@ -427,7 +450,7 @@ def compose(f: PLMap, g: PLMap, cap: int | None = None) -> PLMap:
     whatever turned out collinear.
 
     The breakpoint count comes from the run bounds alone and is checked
-    against ``cap`` before any breakpoint is built.
+    against the cap before any breakpoint is built.
     """
     fxs, fpts = f.xs, f.points
     runs = []
@@ -435,11 +458,8 @@ def compose(f: PLMap, g: PLMap, cap: int | None = None) -> PLMap:
         j0 = bisect.bisect_right(fxs, min(y0, y1))
         j1 = bisect.bisect_left(fxs, max(y0, y1))
         runs.append(range(j0, j1) if y0 < y1 else range(j1 - 1, j0 - 1, -1))
-    if cap is not None:
-        count = len(g.points) + sum(map(len, runs))
-        if count > cap:
-            raise ResourceError(
-                f"composition needs {count} breakpoints, above the cap {cap}")
+    count = len(g.points) + sum(map(len, runs))
+    _check_cap(count, f"composition needs {count} breakpoints")
     out: list[Point] = []
     for ((x0, y0), (x1, y1)), run in zip(g.segments(), runs):
         out.append((x0, f(y0)))
@@ -451,13 +471,13 @@ def compose(f: PLMap, g: PLMap, cap: int | None = None) -> PLMap:
     return PLMap(tuple(out))
 
 
-def iterate(f: PLMap, k: int, cap: int | None = DEFAULT_BREAKPOINT_CAP) -> PLMap:
-    """k-fold composition of f with itself, exact, guarded by the breakpoint cap."""
+def iterate(f: PLMap, k: int) -> PLMap:
+    """k-fold composition of f with itself, exact; `compose` caps each step."""
     if not isinstance(k, int) or k < 1:
         raise DomainError("iteration count must be a positive integer")
     acc = f
     for _ in range(k - 1):
-        acc = compose(f, acc, cap=cap)
+        acc = compose(f, acc)
     return acc
 
 

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DEFAULT_BREAKPOINT_CAP, ONE, ZERO, PLMap
-from .errors import (DomainError, InternalInvariantError, PreconditionError,
-                     ResourceError)
+from .core import ONE, ZERO, PLMap, _check_cap
+from .errors import DomainError, InternalInvariantError, PreconditionError
 from .setvalued import strongly_commute
 
 PERRON_TOLERANCE = Fraction(1, 10**12)
@@ -40,8 +39,7 @@ class LapSequence:
         raise DomainError(f"no lap count recorded for k={k}")
 
 
-def entropy_lap(f: PLMap, k_max: int,
-                cap: int | None = DEFAULT_BREAKPOINT_CAP) -> LapSequence:
+def entropy_lap(f: PLMap, k_max: int) -> LapSequence:
     """Exact lap counts of f, f^2, ..., f^k_max and the entropy upper bound
     log(lap(f^k_max))/k_max, without building any iterate.
 
@@ -55,7 +53,7 @@ def entropy_lap(f: PLMap, k_max: int,
     f^k(1) and values f^i(c), i <= k, at critical points c of f, so the
     images number O((k * #critical points)^2) however many laps there are.
 
-    ``cap`` bounds the breakpoints the iterates would need, at least
+    The cap bounds the breakpoints the iterates would need, at least
     lap(f^k) + 1 for f^k; a larger count raises ResourceError.
     """
     if not isinstance(k_max, int) or k_max < 1:
@@ -74,9 +72,9 @@ def entropy_lap(f: PLMap, k_max: int,
                 cut[key] = cut.get(key, 0) + mult
         images = cut
         count = sum(images.values())
-        if k > 1 and cap is not None and count + 1 > cap:
-            raise ResourceError(
-                f"f^{k} needs at least {count + 1} breakpoints, above the cap {cap}")
+        if k > 1:
+            _check_cap(count + 1,
+                       f"f^{k} needs at least {count + 1} breakpoints")
         laps.append((k, count))
     estimate = math.log(laps[-1][1]) / k_max
     return LapSequence(tuple(laps), estimate)
@@ -135,20 +133,19 @@ def entropy_markov(data: MarkovData) -> float:
     return math.log(data.spectral_radius)
 
 
-def entropy_setvalued(f: PLMap, g: PLMap, k_max: int = 12,
-                      cap: int | None = DEFAULT_BREAKPOINT_CAP) -> float:
+def entropy_setvalued(f: PLMap, g: PLMap, k_max: int = 12) -> float:
     """Entropy of the set-valued composition g∘f⁻¹ of a strongly commuting
     pair: the maximum of the two individual entropies."""
     if not strongly_commute(f, g):
         raise PreconditionError("the entropy formula needs strong commutation")
-    return max(_entropy_of(f, k_max, cap), _entropy_of(g, k_max, cap))
+    return max(_entropy_of(f, k_max), _entropy_of(g, k_max))
 
 
-def _entropy_of(f: PLMap, k_max: int, cap: int | None) -> float:
+def _entropy_of(f: PLMap, k_max: int) -> float:
     data = markov_partition(f)
     if data is not None:
         return entropy_markov(data)
-    return entropy_lap(f, k_max, cap=cap).estimate
+    return entropy_lap(f, k_max).estimate
 
 
 # -- Perron root with certified bracket ------------------------------------------

@@ -6,23 +6,10 @@ the canonical form, so write(read(file)) is a bit-exact fixed point.
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from pathlib import Path
 
-from .core import PLMap
-from .errors import ParseError
-
-_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
-
-
-def _parse_rational(token: str, lineno: int) -> Fraction:
-    if not _RATIONAL.match(token):
-        raise ParseError(f"not an integer or a/b rational: {token!r}", lineno)
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator: {token!r}", lineno) from None
+from .core import PLMap, rat
+from .errors import DomainError, ParseError
 
 
 def parse_map_text(text: str) -> PLMap:
@@ -34,8 +21,10 @@ def parse_map_text(text: str) -> PLMap:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"expected 'X Y', got {line!r}", lineno)
-        points.append((_parse_rational(tokens[0], lineno),
-                       _parse_rational(tokens[1], lineno)))
+        try:
+            points.append((rat(tokens[0]), rat(tokens[1])))
+        except DomainError as exc:
+            raise ParseError(str(exc), lineno) from None
     if not points:
         raise ParseError("no data lines")
     return PLMap(tuple(points))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import (Interval, PLMap, Point, ZERO, ONE, _interpolate, compose,
-                   rat)
+from .core import (Interval, PLMap, Point, ZERO, ONE, _check_cap,
+                   _interpolate, compose, rat)
 from .errors import PreconditionError
 from .report import Report
 
@@ -187,7 +187,8 @@ def graphs_equal(first: SegmentSet, second: SegmentSet) -> bool:
 # -- the two graphs ----------------------------------------------------------
 
 def forward_polyline(f: PLMap, g: PLMap) -> list[tuple[Fraction, Point]]:
-    """The parametrized curve t -> (g(t), f(t)) sampled at all breakpoints."""
+    """The parametrized curve t -> (g(t), f(t)) sampled at all breakpoints;
+    linear in the size of the two maps, so the cap does not bound it."""
     grid = sorted(set(f.xs) | set(g.xs))
     return [(t, (g(t), f(t))) for t in grid]
 
@@ -207,7 +208,11 @@ def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
     and hi the smaller of their maxima. When lo <= hi it is the segment from
     (f⁻¹(lo), g⁻¹(lo)) to (f⁻¹(hi), g⁻¹(hi)), an isolated point when
     lo == hi; otherwise it is empty.
+
+    Its (|f| - 1)(|g| - 1) cells are checked against the cap first.
     """
+    cells = (len(f.points) - 1) * (len(g.points) - 1)
+    _check_cap(cells, f"pullback graph needs {cells} cells")
     g_pieces = [(min(v0, v1), max(v0, v1), u0, v0, u1, v1)
                 for (u0, v0), (u1, v1) in g.segments()]
     pieces: list[Segment] = []

@@ -11,6 +11,13 @@ import pytest
 from icm import PLMap, compose, conjugate, iterate, make_plmap, tent
 
 
+@pytest.fixture(autouse=True)
+def _default_breakpoint_cap(monkeypatch):
+    """The library reads ICM_BREAKPOINT_CAP at call time: every test starts
+    from the default cap, whatever the environment it runs in."""
+    monkeypatch.delenv("ICM_BREAKPOINT_CAP", raising=False)
+
+
 # -- named example maps -----------------------------------------------------
 
 def hat_demo_pair() -> tuple[PLMap, PLMap]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -260,11 +261,14 @@ class TestCli:
         code, out, _ = run_cli(["entropy", path], capsys)
         assert (code, out) == (0, "log 300 ~= 5.70378247466\n")
 
-    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize("cap", ["0", "-3", "many"])
     def test_non_positive_cap_exit_2(self, maps_dir, capsys, monkeypatch, cap):
         monkeypatch.setenv("ICM_BREAKPOINT_CAP", cap)
-        code, out, err = run_cli(["iterate", maps_dir / "T3.pwl", "2"], capsys)
-        assert (code, out) == (2, "") and "positive" in err
+        t3, t4 = maps_dir / "T3.pwl", maps_dir / "T4.pwl"
+        for argv in (["iterate", t3, "2"], ["strong-commute", t3, t4]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert ("integer" if cap == "many" else "positive") in err
 
     def test_tent_bounded_by_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("ICM_BREAKPOINT_CAP", "50")
@@ -272,6 +276,51 @@ class TestCli:
         assert (code, out) == (4, "") and "cap 50" in err
         code, out, _ = run_cli(["tent", "49"], capsys)
         assert code == 0 and parse_map_text(out) == tent(49)
+
+    # Uncapped, these verbs peak at 2.1-4.4 MiB on T100, T101 under
+    # tracemalloc: the pullback graph has 10,100 cells, T100∘T101 10,101
+    # breakpoints.
+    @pytest.mark.parametrize("verb", [
+        ["commute"], ["strong-commute"], ["graph", "--kind", "pullback"],
+        ["decompose"], ["verify"], ["common-fixed-point"], ["entropy"]],
+        ids=lambda verb: verb[0])
+    def test_bounded_by_cap_before_building(self, tmp_path, capsys,
+                                            monkeypatch, verb):
+        for n in (100, 101):
+            (tmp_path / f"T{n}.pwl").write_text(dump_map_text(tent(n)))
+        run_cli(["tent", "2"], capsys)  # the cached parser, built untraced
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1000")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                [verb[0], tmp_path / "T100.pwl", tmp_path / "T101.pwl",
+                 *verb[1:]], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "") and "cap 1000" in err
+        assert peak < 256 << 10
+
+    def test_verify_oracle_zero_exit_2(self, maps_dir, capsys):
+        code, out, err = run_cli(
+            ["verify", maps_dir / "T3.pwl", maps_dir / "T4.pwl",
+             "--oracle", "0"], capsys)
+        assert (code, out) == (2, "") and ">= 2" in err
+
+    @pytest.mark.parametrize("args", [
+        ["T3.pwl", "--iters", "0"], ["T3.pwl", "--iters", "-1"],
+        ["T3.pwl", "T4.pwl", "--iters", "0"]])
+    def test_entropy_iters_must_be_positive(self, maps_dir, capsys, args):
+        code, out, err = run_cli(
+            ["entropy", *(maps_dir / a if a.endswith(".pwl") else a
+                          for a in args)], capsys)
+        assert (code, out) == (2, "")
+        assert "k_max must be a positive integer" in err
+
+    @pytest.mark.parametrize("x", ["0.5", "1e-1", "+1/2"])
+    def test_eval_takes_the_pwl_grammar(self, maps_dir, capsys, x):
+        code, out, err = run_cli(["eval", maps_dir / "T3.pwl", x], capsys)
+        assert (code, out) == (2, "") and "a/b rational" in err
 
     def test_module_entry_point(self, maps_dir):
         # the child imports the same `icm` as this process

@@ -44,7 +44,7 @@ class TestConstruction:
         with pytest.raises(DomainError):
             tent(1)
 
-    def test_tent_cap_checked_before_building(self):
+    def test_tent_cap_checked_before_building(self, monkeypatch):
         tracemalloc.start()
         try:
             with pytest.raises(ResourceError):
@@ -53,9 +53,11 @@ class TestConstruction:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert len(tent(5, cap=6).points) == 6
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "6")
+        assert len(tent(5).points) == 6
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "5")
         with pytest.raises(ResourceError):
-            tent(5, cap=5)
+            tent(5)
 
     def test_collinear_merge_gives_identity(self):
         merged = make_plmap([(0, 0), ("1/2", "1/2"), (1, 1)])
@@ -77,6 +79,16 @@ class TestConstruction:
     def test_floats_rejected(self):
         with pytest.raises(DomainError):
             rat(0.5)
+
+    def test_strings_follow_the_pwl_grammar(self):
+        assert [rat(s) for s in ("2/3", "-4", "0", "6/4")] == [
+            F(2, 3), F(-4), F(0), F(3, 2)]
+        for text in ("0.5", "1e-1", " 1/2", "1/2\n", "+1", "1/-2", "1 / 2",
+                     "", "a/b"):
+            with pytest.raises(DomainError, match="not an integer or a/b"):
+                rat(text)
+        with pytest.raises(DomainError, match="zero denominator"):
+            rat("1/0")
 
     def test_merge_matches_cross_product_reference(self):
         # Values on a coarse grid, so that collinear runs, turns and
@@ -172,7 +184,7 @@ def _outcome(fn, *args, **kwargs):
 
 
 class TestCompose:
-    def test_matches_reference_walk(self):
+    def test_matches_reference_walk(self, monkeypatch):
         rng = random.Random(4410)
         maps = [tent(n) for n in range(2, 10)]
         for denom in (6, 7, 12, 30):
@@ -194,15 +206,18 @@ class TestCompose:
             assert compose(f, g).points == expected.points
             if case % 3 == 0:
                 for cap in range(1, len(_reference_grid(f, g)) + 1):
-                    assert (_outcome(compose, f, g, cap=cap)
+                    monkeypatch.setenv("ICM_BREAKPOINT_CAP", str(cap))
+                    assert (_outcome(compose, f, g)
                             == _outcome(_compose_reference, f, g, cap=cap))
+                monkeypatch.delenv("ICM_BREAKPOINT_CAP")
 
-    def test_cap_checked_before_building(self):
+    def test_cap_checked_before_building(self, monkeypatch):
         f = tent(100)
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1000")
         tracemalloc.start()
         try:
             with pytest.raises(ResourceError, match="needs 10001 breakpoints"):
-                compose(f, f, cap=1000)
+                compose(f, f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -245,9 +260,10 @@ class TestIterate:
     def test_breakpoint_count(self):
         assert len(iterate(tent(3), 4).points) == 82
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1000")
         with pytest.raises(ResourceError):
-            iterate(tent(3), 9, cap=1000)
+            iterate(tent(3), 9)
 
     def test_bad_count(self):
         with pytest.raises(DomainError):

@@ -57,15 +57,18 @@ class TestEntropyLap:
             assert [c for _, c in plain.laps] == [c for _, c in conj.laps]
             assert plain.estimate == conj.estimate
 
-    def test_resource_cap_propagates(self):
+    def test_resource_cap_propagates(self, monkeypatch):
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1000")
         with pytest.raises(ResourceError):
-            entropy_lap(tent(3), 20, cap=1000)
+            entropy_lap(tent(3), 20)
 
-    def test_cap_counts_laps_plus_one(self):
+    def test_cap_counts_laps_plus_one(self, monkeypatch):
         # lap(T3^4) + 1 = 82 breakpoints at least
-        assert entropy_lap(tent(3), 4, cap=82).laps[-1] == (4, 81)
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "82")
+        assert entropy_lap(tent(3), 4).laps[-1] == (4, 81)
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "81")
         with pytest.raises(ResourceError):
-            entropy_lap(tent(3), 4, cap=81)
+            entropy_lap(tent(3), 4)
 
     def test_recursion_matches_materialised_iterates(self):
         rng = random.Random(61)
