@@ -35,7 +35,8 @@ def _check_cap(count: int, needs: str) -> None:
     """Raise ResourceError ("<needs>, above the cap C") when ``count``
     exceeds the cap: ICM_BREAKPOINT_CAP, read at each call, else the default.
     Called only where a size is known before anything is built: breakpoints
-    in `tent` and `compose`, laps in `entropy_lap`, cells in `pullback_graph`.
+    in `tent` and `compose`, laps in `entropy_lap`, cells in `pullback_graph`,
+    hats in `hats` and segment pairs in `parametrization_coincidences`.
     """
     raw = os.environ.get("ICM_BREAKPOINT_CAP")
     try:
@@ -127,6 +128,11 @@ class CriticalSet:
     """Interior local extrema of a map: ordered (point, 'max'|'min') pairs."""
 
     entries: tuple[tuple[Fraction, str], ...]
+    _points: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_points",
+                           frozenset([x for x, _ in self.entries]))
 
     @property
     def xs(self) -> tuple[Fraction, ...]:
@@ -139,7 +145,7 @@ class CriticalSet:
         return iter(self.entries)
 
     def __contains__(self, x) -> bool:
-        return any(x == p for p, _ in self.entries)
+        return x in self._points
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ rational predicates only, no epsilons anywhere.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -46,14 +47,26 @@ class Segment:
     def is_point(self) -> bool:
         return self.a == self.b
 
-    def line_key(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Canonical (A, B, C) of the supporting line Ax + By + C = 0."""
-        A = self.b[1] - self.a[1]
-        B = self.a[0] - self.b[0]
-        C = -(A * self.a[0] + B * self.a[1])
-        if A != 0:
-            return (Fraction(1), B / A, C / A)
-        return (Fraction(0), Fraction(1), C / B)
+    def line_key(self) -> tuple[int, int, int]:
+        """Canonical integers (A, B, C) of the supporting line Ax + By + C = 0:
+        coprime, with A > 0, or A == 0 and B > 0.
+
+        With a = (p0/q0, r0/s0) and b = (p1/q1, r1/s1), the line's
+        (b_y - a_y, a_x - b_x) times q0·q1·s0·s1 is integral, so the key
+        needs no Fraction division.
+        """
+        (x0, y0), (x1, y1) = self.a, self.b
+        p0, q0 = x0.numerator, x0.denominator
+        r0, s0 = y0.numerator, y0.denominator
+        p1, q1 = x1.numerator, x1.denominator
+        r1, s1 = y1.numerator, y1.denominator
+        A = (r1 * s0 - r0 * s1) * q0 * q1
+        B = (p0 * q1 - p1 * q0) * s0 * s1
+        C = -((A // q0) * p0 + (B // s0) * r0)
+        d = math.gcd(A, B, C)
+        if A < 0 or (A == 0 and B < 0):
+            d = -d
+        return (A // d, B // d, C // d)
 
     def contains_point(self, p: Point) -> bool:
         if self.is_point:
@@ -73,6 +86,20 @@ class Segment:
     def at(self, t: Fraction) -> Point:
         return (self.a[0] + t * (self.b[0] - self.a[0]),
                 self.a[1] + t * (self.b[1] - self.a[1]))
+
+
+def _segment(a: Point, b: Point) -> Segment:
+    """A Segment from two points of Fractions the library has built: the
+    endpoints are ordered, not coerced. User input goes through Segment.
+
+    The fields are written to the instance dict, as the frozen dataclass's
+    own ``object.__setattr__`` would, at two fewer calls per segment.
+    """
+    s = object.__new__(Segment)
+    if b < a:
+        a, b = b, a
+    s.__dict__.update(a=a, b=b)
+    return s
 
 
 @dataclass(frozen=True)
@@ -100,34 +127,46 @@ class SegmentSet:
     def isolated_points(self) -> list[Point]:
         return [s.a for s in self.segments if s.is_point]
 
-    def covers_segment(self, s: Segment) -> bool:
+    def _keyed(self) -> list[tuple[Segment, tuple[int, int, int]]]:
+        """The proper segments, each with its line key."""
+        return [(t, t.line_key()) for t in self.proper_segments()]
+
+    def covers_segment(self, s: Segment, keyed: list | None = None) -> bool:
         """Exact containment of one segment in this set.
 
         The segment is split at every intersection with the supporting lines
         of this set; each sub-piece lies inside or outside as a whole, so a
         rational midpoint test per piece decides containment. This is the
         subset relation and an independent reference for ``==``; no decision
-        procedure calls it.
+        procedure calls it. ``keyed`` is ``_keyed()``, when the caller has
+        it already.
+
+        A line's side value A·x + B·y + C at a point (p/q, r/t) is kept as
+        the integer A·p·t + B·r·q + C·q·t over q·t; the crossing parameter
+        is the exact ratio of the two ends' values, brought to one scale.
         """
         if s.is_point:
             return self.contains_point(s.a)
         if not (self.contains_point(s.a) and self.contains_point(s.b)):
             return False
+        if keyed is None:
+            keyed = self._keyed()
         key = s.line_key()
+        (pa, qa), (ra, ta) = [(c.numerator, c.denominator) for c in s.a]
+        (pb, qb), (rb, tb) = [(c.numerator, c.denominator) for c in s.b]
         cuts: set[Fraction] = {ZERO, ONE}
-        for t in self.proper_segments():
-            if t.line_key() == key:
+        for t, (A, B, C) in keyed:
+            if (A, B, C) == key:
                 for p in (t.a, t.b):
                     u = s.param_of(p)
                     if ZERO < u < ONE:
                         cuts.add(u)
                 continue
-            A, B, C = t.line_key()
-            da = A * s.a[0] + B * s.a[1] + C
-            db = A * s.b[0] + B * s.b[1] + C
+            da = (A * pa * ta + B * ra * qa + C * qa * ta) * qb * tb
+            db = (A * pb * tb + B * rb * qb + C * qb * tb) * qa * ta
             if da == db:
                 continue
-            u = da / (da - db)
+            u = Fraction(da, da - db)
             if ZERO < u < ONE:
                 cuts.add(u)
         grid = sorted(cuts)
@@ -137,10 +176,11 @@ class SegmentSet:
         return True
 
     def covers(self, other: "SegmentSet") -> bool:
-        return all(self.covers_segment(s) for s in other.segments)
+        keyed = self._keyed()
+        return all(self.covers_segment(s, keyed) for s in other.segments)
 
     def reflected(self) -> "SegmentSet":
-        return segment_set(Segment((s.a[1], s.a[0]), (s.b[1], s.b[0]))
+        return segment_set(_segment((s.a[1], s.a[0]), (s.b[1], s.b[0]))
                            for s in self.segments)
 
 
@@ -169,12 +209,12 @@ def segment_set(raw: Iterable[Segment]) -> SegmentSet:
         for nxt in group[1:]:
             if nxt.a <= cur.b:
                 if nxt.b > cur.b:
-                    cur = Segment(cur.a, nxt.b)
+                    cur = _segment(cur.a, nxt.b)
             else:
                 merged.append(cur)
                 cur = nxt
         merged.append(cur)
-    kept_points = [Segment(p, p) for p in points
+    kept_points = [_segment(p, p) for p in points
                    if not any(s.contains_point(p) for s in merged)]
     return SegmentSet(tuple(sorted(merged + kept_points)))
 
@@ -188,15 +228,37 @@ def graphs_equal(first: SegmentSet, second: SegmentSet) -> bool:
 
 def forward_polyline(f: PLMap, g: PLMap) -> list[tuple[Fraction, Point]]:
     """The parametrized curve t -> (g(t), f(t)) sampled at all breakpoints;
-    linear in the size of the two maps, so the cap does not bound it."""
-    grid = sorted(set(f.xs) | set(g.xs))
-    return [(t, (g(t), f(t))) for t in grid]
+    linear in the size of the two maps, so the cap does not bound it.
+
+    One merged walk along both breakpoint lists: a breakpoint of one map
+    that is none of the other is interpolated on the other's current piece.
+    """
+    fp, gp = f.points, g.points
+    last = len(fp) - 1
+    out: list[tuple[Fraction, Point]] = []
+    i = j = 0
+    while True:
+        (xf, yf), (xg, yg) = fp[i], gp[j]
+        if xf == xg:
+            out.append((xf, (yg, yf)))
+            if i == last:  # both maps end at 1
+                return out
+            i += 1
+            j += 1
+        elif xf < xg:
+            x0, y0 = gp[j - 1]
+            out.append((xf, (_interpolate(x0, y0, xg, yg, xf), yf)))
+            i += 1
+        else:
+            x0, y0 = fp[i - 1]
+            out.append((xg, (yg, _interpolate(x0, y0, xf, yf, xg))))
+            j += 1
 
 
 def forward_graph(f: PLMap, g: PLMap) -> SegmentSet:
     """Graph of the set-valued map f∘g⁻¹ as the polyline {(g(t), f(t))}."""
     vertices = [p for _, p in forward_polyline(f, g)]
-    return segment_set(Segment(a, b) for a, b in zip(vertices, vertices[1:]))
+    return segment_set(_segment(a, b) for a, b in zip(vertices, vertices[1:]))
 
 
 def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
@@ -221,7 +283,7 @@ def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
         for g_lo, g_hi, u0, v0, u1, v1 in g_pieces:
             lo, hi = max(f_lo, g_lo), min(f_hi, g_hi)
             if lo <= hi:
-                pieces.append(Segment(
+                pieces.append(_segment(
                     (_interpolate(y0, x0, y1, x1, lo),
                      _interpolate(v0, u0, v1, u1, lo)),
                     (_interpolate(y0, x0, y1, x1, hi),
@@ -257,12 +319,19 @@ class GraphFeature:
 
 
 def hats(f: PLMap, g: PLMap) -> list[GraphFeature]:
-    """Hats of the graph of g⁻¹∘f: (c, y) with c critical for f, y not for g."""
+    """Hats of the graph of g⁻¹∘f: (c, y) with c critical for f, y not for g.
+
+    Their bound, |C_f| times the |g| - 1 pieces of g, is checked against the
+    cap first: a piece takes each value at most once.
+    """
+    crit_f = f.critical_points()
     crit_g = g.critical_points()
+    bound = len(crit_f) * (len(g.points) - 1)
+    _check_cap(bound, f"hats need up to {bound} points")
     end_image = (g(ZERO), f(ZERO))
     is_closed_loop = end_image == (g(ONE), f(ONE))
     out = []
-    for c, _ in f.critical_points():
+    for c, _ in crit_f:
         for y in g.preimage_point(f(c)):
             if y in crit_g:
                 continue
@@ -382,10 +451,14 @@ def parametrization_coincidences(f: PLMap, g: PLMap):
 
     Returns (points, overlaps): coincidence points hit by two different
     parameters, and collinear retraced portions (which a locally one-to-one
-    parametrization never has).
+    parametrization never has). The n(n - 1)/2 pairs of its n pieces are
+    checked against the cap first.
     """
     vertices = [p for _, p in forward_polyline(f, g)]
-    pieces = [Segment(a, b) for a, b in zip(vertices, vertices[1:])]
+    n = len(vertices) - 1
+    pairs = n * (n - 1) // 2
+    _check_cap(pairs, f"coincidences need {pairs} segment pairs")
+    pieces = [_segment(a, b) for a, b in zip(vertices, vertices[1:])]
     points: set[Point] = set()
     overlaps: list[tuple[Point, Point]] = []
     for i in range(len(pieces)):

@@ -68,6 +68,15 @@ def wiggly_staircase_map() -> PLMap:
                        ("9/11", "9/11"), ("10/11", "7/11"), (1, 1)])
 
 
+def alternating_map(n: int = 100) -> PLMap:
+    """An onto map with n (even) critical points, whose values alternate
+    1/4, 3/4: each is a non-critical value of every tent map, taken once
+    per branch."""
+    ys = [Fraction(1), *(Fraction(1 + 2 * (i % 2), 4) for i in range(n)),
+          Fraction(0)]
+    return PLMap(tuple((Fraction(i, n + 1), y) for i, y in enumerate(ys)))
+
+
 # -- deterministic generators -------------------------------------------------
 
 def random_onto_map(rng: random.Random, max_interior: int = 5,

@@ -13,7 +13,7 @@ import pytest
 import icm
 from icm import (ParseError, dump_map_text, make_plmap, parse_map_text, tent)
 from icm.cli import main
-from conftest import block_swap_pair, invariant_chain_pair
+from conftest import alternating_map, block_swap_pair, invariant_chain_pair
 
 F = Fraction
 
@@ -300,6 +300,39 @@ class TestCli:
             tracemalloc.stop()
         assert (code, out) == (4, "") and "cap 1000" in err
         assert peak < 256 << 10
+
+    # f has 100 critical values, each with 101 non-critical T101-preimages:
+    # 10,100 hats, 2.4 MiB uncapped.
+    @pytest.mark.parametrize("verb", ["hats", "profile"])
+    def test_hats_bounded_by_cap(self, tmp_path, capsys, monkeypatch, verb):
+        (tmp_path / "f.pwl").write_text(dump_map_text(alternating_map(100)))
+        (tmp_path / "T101.pwl").write_text(dump_map_text(tent(101)))
+        run_cli(["tent", "2"], capsys)  # the cached parser, built untraced
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1000")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                [verb, tmp_path / "f.pwl", tmp_path / "T101.pwl"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "") and "cap 1000" in err
+        assert peak < 256 << 10
+
+    def test_verify_coincidences_bounded_by_cap(self, tmp_path, capsys,
+                                                monkeypatch):
+        # T30, T31: 930 pullback cells and at most 899 hats fit, but the
+        # forward polyline has 60 pieces, so 1770 pairs to intersect
+        for n in (30, 31):
+            (tmp_path / f"T{n}.pwl").write_text(dump_map_text(tent(n)))
+        argv = ["verify", tmp_path / "T30.pwl", tmp_path / "T31.pwl"]
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1769")
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (4, "")
+        assert "1770 segment pairs, above the cap 1769" in err
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1770")
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and "FAIL" not in out
 
     def test_verify_oracle_zero_exit_2(self, maps_dir, capsys):
         code, out, err = run_cli(

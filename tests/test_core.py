@@ -153,6 +153,15 @@ class TestCriticalPoints:
     def test_tent6_count(self):
         assert len(tent(6).critical_points()) == 5
 
+    def test_membership_by_value(self):
+        crit = tent(6).critical_points()
+        for i in range(13):
+            x = F(i, 12)
+            assert (x in crit) == any(x == p for p, _ in crit.entries), x
+        assert 1 not in crit and F(1, 6) in crit
+        assert crit == type(crit)(crit.entries)
+        assert repr(crit) == f"CriticalSet(entries={crit.entries!r})"
+
     def test_noncritical_breakpoints_ignored(self):
         f = make_plmap([(0, 0), ("1/4", "1/2"), (1, 1)])
         assert len(f.critical_points()) == 0

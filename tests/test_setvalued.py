@@ -2,18 +2,19 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from icm import (PLMap, PreconditionError, Segment, commute, compose,
-                 endpoints, forward_graph, forward_polyline, graphs_equal, hats,
-                 identity_map, make_plmap, profile, pullback_graph,
-                 sample_pullback, segment_set, strongly_commute, tent,
-                 verify_strong_consequences)
+from icm import (PLMap, PreconditionError, ResourceError, Segment, commute,
+                 compose, endpoints, forward_graph, forward_polyline,
+                 graphs_equal, hats, identity_map, make_plmap, profile,
+                 pullback_graph, sample_pullback, segment_set,
+                 strongly_commute, tent, verify_strong_consequences)
 from icm.setvalued import parametrization_coincidences
-from conftest import (block_swap_pair, conjugated_tent_pair, coprime_pair,
-                      double_reversal_pair, hat_demo_pair,
+from conftest import (alternating_map, block_swap_pair, conjugated_tent_pair,
+                      coprime_pair, double_reversal_pair, hat_demo_pair,
                       invariant_chain_pair, random_into_map, random_onto_map)
 
 F = Fraction
@@ -43,6 +44,39 @@ def grid_points(graph, n):
 def squeezed(f, lo, hi):
     """f with its values moved affinely from [0, 1] onto [lo, hi]."""
     return PLMap(tuple((x, lo + (hi - lo) * y) for x, y in f.points))
+
+
+def fraction_line_key(s):
+    """Reference line key in Fractions: (1, B/A, C/A), or (0, 1, C/B)."""
+    A = s.b[1] - s.a[1]
+    B = s.a[0] - s.b[0]
+    C = -(A * s.a[0] + B * s.a[1])
+    if A != 0:
+        return (F(1), B / A, C / A)
+    return (F(0), F(1), C / B)
+
+
+def grid_polyline(f, g):
+    """Reference forward polyline: both maps evaluated on the merged grid."""
+    grid = sorted(set(f.xs) | set(g.xs))
+    return [(t, (g(t), f(t))) for t in grid]
+
+
+@pytest.fixture(scope="module")
+def differential_mix():
+    """(f, g, forward graph, pullback graph) on 1156 seeded pairs: all tent
+    pairs T2..T15 squared, 300 onto maps each with another onto map, with
+    its square and with itself, and 60 conjugated coprime tent pairs."""
+    rng = random.Random(20261018)
+    pairs = [(tent(n), tent(m)) for n in range(2, 16) for m in range(2, 16)]
+    for _ in range(300):
+        f = random_onto_map(rng)
+        pairs += [(f, random_onto_map(rng)), (f, compose(f, f)), (f, f)]
+    pairs += [conjugated_tent_pair(rng, *coprime_pair(rng))
+              for _ in range(60)]
+    assert len(pairs) == 1156
+    return [(f, g, forward_graph(f, g), pullback_graph(f, g))
+            for f, g in pairs]
 
 
 class TestForwardGraph:
@@ -127,23 +161,55 @@ class TestGraphsEqual:
         assert not graphs_equal(diag, cross)
         assert cross.covers(diag)
 
-    def test_canonical_equality_agrees_with_two_way_covers(self):
-        rng = random.Random(20261018)
-        pairs = [(tent(n), tent(m)) for n in range(2, 16) for m in range(2, 16)]
-        for _ in range(300):
-            f = random_onto_map(rng)
-            pairs += [(f, random_onto_map(rng)), (f, compose(f, f)), (f, f)]
-        pairs += [conjugated_tent_pair(rng, *coprime_pair(rng))
-                  for _ in range(60)]
+    def test_canonical_equality_agrees_with_two_way_covers(
+            self, differential_mix):
         equal = 0
-        for f, g in pairs:
-            fwd, pull = forward_graph(f, g), pullback_graph(f, g)
+        for f, g, fwd, pull in differential_mix:
             same = graphs_equal(fwd, pull)
             assert same == (fwd.covers(pull) and pull.covers(fwd)), (f, g)
             assert strongly_commute(f, g) == same, (f, g)
             assert not same or commute(f, g), (f, g)
             equal += same
-        assert len(pairs) >= 1000 and equal >= 150
+        assert equal >= 150
+
+    def test_covers_segment_finds_its_own_keys(self):
+        pull = pullback_graph(tent(4), tent(6))
+        fwd = forward_graph(tent(4), tent(6))
+        assert all(pull.covers_segment(s) for s in fwd)
+        assert not all(fwd.covers_segment(s) for s in pull)
+
+
+class TestIntegerGraphLayer:
+    """The graph layer in integers and library-built segments, against the
+    Fraction keys, grid polyline and coercing constructor it replaced."""
+
+    def test_line_keys_match_fraction_keys(self, differential_mix):
+        new_of_old, old_of_new = {}, {}
+        for f, g, fwd, pull in differential_mix:
+            vertices = [p for _, p in forward_polyline(f, g)]
+            pieces = [Segment(a, b) for a, b in zip(vertices, vertices[1:])]
+            for s in (*pieces, *fwd, *pull, *pull.reflected()):
+                if s.is_point:
+                    continue
+                key, old = s.line_key(), fraction_line_key(s)
+                assert all(type(c) is int for c in key), s
+                assert math.gcd(*key) == 1, s
+                assert key[0] > 0 or (key[0] == 0 and key[1] > 0), s
+                # equal integer keys exactly when equal Fraction keys
+                assert new_of_old.setdefault(old, key) == key, s
+                assert old_of_new.setdefault(key, old) == old, s
+        assert len(old_of_new) > 1000
+
+    def test_merge_walk_polyline_matches_grid(self, differential_mix):
+        for f, g, _, _ in differential_mix:
+            for p, q in ((f, g), (g, f)):
+                assert forward_polyline(p, q) == grid_polyline(p, q), (p, q)
+
+    def test_library_segments_equal_public_ones(self, differential_mix):
+        for _, _, fwd, pull in differential_mix:
+            for s in (*fwd, *pull, *pull.reflected()):
+                assert s == Segment(s.a, s.b) and s.a <= s.b, s
+                assert all(type(c) is F for c in (*s.a, *s.b)), s
 
 
 class TestCommutation:
@@ -206,6 +272,30 @@ class TestHats:
             graph = pullback_graph(f, g)
             for h in hats(f, g):
                 assert graph.contains_point(h.location)
+
+    def test_bounded_by_cap(self, monkeypatch):
+        # 2 critical points of T3 times 4 pieces of T4: at most 8 hats
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "8")
+        assert len(hats(tent(3), tent(4))) == 2
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "7")
+        with pytest.raises(ResourceError,
+                           match="hats need up to 8 points, above the cap 7"):
+            hats(tent(3), tent(4))
+
+    def test_many_hats_raise_before_building(self, monkeypatch):
+        # 100 critical values, each with 101 non-critical T101-preimages
+        f, g = alternating_map(100), tent(101)
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="10100 points"):
+                hats(f, g)
+            with pytest.raises(ResourceError, match="10100 points"):
+                profile(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
 
     def test_hat_second_coordinate_is_strict_extremum(self):
         rng = random.Random(13)
@@ -282,6 +372,16 @@ class TestCoincidences:
     def test_self_pair_retraces(self):
         _, overlaps = parametrization_coincidences(tent(2), tent(2))
         assert overlaps
+
+    def test_bounded_by_cap(self, monkeypatch):
+        # the polyline of T3, T4 has 6 pieces: 15 pairs
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "15")
+        pts, overlaps = parametrization_coincidences(tent(3), tent(4))
+        assert (len(pts), overlaps) == (3, [])
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "14")
+        with pytest.raises(ResourceError,
+                           match="15 segment pairs, above the cap 14"):
+            parametrization_coincidences(tent(3), tent(4))
 
 
 class TestStrongConsequences:
