@@ -115,12 +115,24 @@ def _interpolate(s0: Fraction, t0: Fraction, s1: Fraction, t1: Fraction,
                  s: Fraction) -> Fraction:
     """t at s on the line through (s0, t0) and (s1, t1); an end comes back
     as it is. Called with (x, y) it evaluates a linear piece, with (y, x)
-    it inverts one."""
-    if s == s0:
+    it inverts one.
+
+    With s = a/b, s0 = a0/b0, s1 = a1/b1 and t0 = p0/q0, t1 = p1/q1, the
+    value t0 + (t1 - t0)(s - s0)/(s1 - s0) is one integer fraction, reduced
+    once, with no intermediate Fraction.
+    """
+    a, b = s.numerator, s.denominator
+    a0, b0 = s0.numerator, s0.denominator
+    n = a * b0 - a0 * b  # (s - s0)·b·b0
+    if not n:
         return t0
-    if s == s1:
+    a1, b1 = s1.numerator, s1.denominator
+    if a * b1 == a1 * b:
         return t1
-    return t0 + (t1 - t0) * (s - s0) / (s1 - s0)
+    p0, q0 = t0.numerator, t0.denominator
+    p1, q1 = t1.numerator, t1.denominator
+    d = (a1 * b0 - a0 * b1) * b  # (s1 - s0)·b·b0·b1
+    return Fraction(p0 * q1 * d + (p1 * q0 - p0 * q1) * n * b1, q0 * q1 * d)
 
 
 @dataclass(frozen=True)
@@ -200,6 +212,15 @@ def _build_fixed_set(points: Iterable[Fraction], segs: Iterable[Interval]) -> Fi
     return FixedSet(iso, seg_ivs)
 
 
+def _straight(p: Point, q: Point, r: Point) -> bool:
+    """Whether the pieces p-q and q-r of a map lie on one line, so that q is
+    no breakpoint. No piece is constant, so a turn is never collinear: the
+    cross product is needed only where the direction holds."""
+    (x0, y0), (x1, y1) = p, q
+    return (y0 < y1) == (y1 < r[1]) and \
+        (y1 - y0) * (r[0] - x1) == (r[1] - y1) * (x1 - x0)
+
+
 # A region piece is an x-interval with endpoint-inclusion flags, used to
 # represent preimages of open value bands exactly.
 _Piece = tuple[Fraction, Fraction, bool, bool]
@@ -234,18 +255,30 @@ class PLMap:
                 raise DomainError(f"value {y} outside [0, 1]")
         merged: list[Point] = [pts[0], pts[1]]
         for p in pts[2:]:
-            (x0, y0), (x1, y1) = merged[-2], merged[-1]
-            # No piece is constant, so a turn is never collinear: the
-            # cross product is needed only where the direction holds.
-            if (y0 < y1) == (y1 < p[1]) and \
-                    (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
+            if _straight(merged[-2], merged[-1], p):
                 merged[-1] = p
             else:
                 merged.append(p)
-        object.__setattr__(self, "points", tuple(merged))
+        self._set(merged)
+
+    def _set(self, points: list[Point]) -> None:
+        object.__setattr__(self, "points", tuple(points))
         # A list, not a generator: tuple(generator) is resized from length
         # 10, and CPython's tuple free lists then grow by one block per map.
-        object.__setattr__(self, "_xs", tuple([x for x, _ in merged]))
+        object.__setattr__(self, "_xs", tuple([x for x, _ in points]))
+
+    @classmethod
+    def _trusted(cls, points: list[Point]) -> "PLMap":
+        """The map on points that are canonical already, checking nothing.
+
+        Only the library calls it, on points it has built from canonical
+        maps: `Fraction` coordinates, abscissas strictly increasing from 0
+        to 1, values in [0, 1], no constant piece and no straight point.
+        User input goes through the validating constructor.
+        """
+        m = object.__new__(cls)
+        m._set(points)
+        return m
 
     # -- basic queries ------------------------------------------------------
 
@@ -417,7 +450,8 @@ class PLMap:
         inner = [x for x in self._xs if J.lo < x < J.hi]
         pts = [((x - J.lo) / w, (self(x) - J.lo) / w)
                for x in [J.lo, *inner, J.hi]]
-        return PLMap(tuple(pts))
+        # An affine rescaling of canonical pieces, cut at J's ends: canonical.
+        return PLMap._trusted(pts)
 
     def __str__(self) -> str:
         return " ".join(f"({x},{y})" for x, y in self.points)
@@ -445,15 +479,17 @@ def tent(n: int) -> PLMap:
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
-    """Exact composition f ∘ g, built in one ordered walk along g.
+    """Exact composition f ∘ g, built canonical in one ordered walk along g.
 
     Each piece (x0, y0) -> (x1, y1) of g gives its left end (x0, f(y0)),
     then one point for every breakpoint b of f strictly between y0 and y1:
     the x where the piece takes the value b, with value f(b). These b are a
     run of f's breakpoints, read backwards on a falling piece, so the points
     come out sorted; they are distinct, since a point inside a piece is no
-    breakpoint of g and a piece is injective. Canonicalization then merges
-    whatever turned out collinear.
+    breakpoint of g and a piece is injective. f is canonical, so inside a
+    piece of g the composite turns wherever f does: only an interior
+    breakpoint of g can be straight. Each is tested once, with the points
+    emitted either side of it, and the straight ones are left out.
 
     The breakpoint count comes from the run bounds alone and is checked
     against the cap before any breakpoint is built.
@@ -463,18 +499,29 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     for (_, y0), (_, y1) in g.segments():
         j0 = bisect.bisect_right(fxs, min(y0, y1))
         j1 = bisect.bisect_left(fxs, max(y0, y1))
-        runs.append(range(j0, j1) if y0 < y1 else range(j1 - 1, j0 - 1, -1))
-    count = len(g.points) + sum(map(len, runs))
+        # The piece of f that holds y0, then the run.
+        runs.append((j0 - 1, range(j0, j1)) if y0 < y1
+                    else (j1 - 1, range(j1 - 1, j0 - 1, -1)))
+    count = len(g.points) + sum([len(run) for _, run in runs])
     _check_cap(count, f"composition needs {count} breakpoints")
     out: list[Point] = []
-    for ((x0, y0), (x1, y1)), run in zip(g.segments(), runs):
-        out.append((x0, f(y0)))
+    starts: list[int] = []  # where the pieces of g start in out
+    for ((x0, y0), (x1, y1)), (i, run) in zip(g.segments(), runs):
+        (u0, v0), (u1, v1) = fpts[i], fpts[i + 1]
+        starts.append(len(out))
+        out.append((x0, _interpolate(u0, v0, u1, v1, y0)))
         for j in run:
             b, v = fpts[j]
             out.append((_interpolate(y0, x0, y1, x1, b), v))
     x, y = g.points[-1]
     out.append((x, f(y)))
-    return PLMap(tuple(out))
+    # A straight point left of k lies on the line through out[k - 1] and
+    # out[k], so the test with the emitted neighbours is the merge test.
+    straight = {k for k in starts[1:]
+                if _straight(out[k - 1], out[k], out[k + 1])}
+    if straight:
+        out = [p for k, p in enumerate(out) if k not in straight]
+    return PLMap._trusted(out)
 
 
 def iterate(f: PLMap, k: int) -> PLMap:
@@ -499,8 +546,8 @@ def is_homeomorphism(h: PLMap) -> bool:
 def invert_homeomorphism(h: PLMap) -> PLMap:
     if not is_homeomorphism(h):
         raise DomainError("inverse requires a PL homeomorphism of [0, 1]")
-    flipped = sorted((y, x) for x, y in h.points)
-    return PLMap(tuple(flipped))
+    # The mirror image of a canonical homeomorphism in the diagonal is one.
+    return PLMap._trusted(sorted([(y, x) for x, y in h.points]))
 
 
 def conjugate(f: PLMap, h: PLMap) -> PLMap:

@@ -188,8 +188,9 @@ def _has_invariant_prefix(f: PLMap) -> bool:
 
 def _has_invariant_suffix(f: PLMap) -> bool:
     """A suffix of f is an invariant prefix of x -> 1 - f(1 - x)."""
-    return _has_invariant_prefix(
-        PLMap(tuple((ONE - x, ONE - y) for x, y in reversed(f.points))))
+    # A half-turn of the square keeps a canonical map canonical.
+    return _has_invariant_prefix(PLMap._trusted(
+        [(ONE - x, ONE - y) for x, y in reversed(f.points)]))
 
 
 def _has_swap_structure(f: PLMap) -> bool:

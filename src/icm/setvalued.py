@@ -13,6 +13,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .core import (Interval, PLMap, Point, ZERO, ONE, _check_cap,
@@ -184,6 +185,11 @@ class SegmentSet:
                            for s in self.segments)
 
 
+#: The order of `Segment.__lt__` as a sort key, without the two tuples that
+#: the dataclass comparison builds per call.
+_ends = attrgetter("a", "b")
+
+
 def segment_set(raw: Iterable[Segment]) -> SegmentSet:
     """Canonicalize: merge touching collinear segments, drop covered points.
 
@@ -204,7 +210,7 @@ def segment_set(raw: Iterable[Segment]) -> SegmentSet:
             proper.setdefault(s.line_key(), []).append(s)
     merged: list[Segment] = []
     for group in proper.values():
-        group.sort()
+        group.sort(key=_ends)
         cur = group[0]
         for nxt in group[1:]:
             if nxt.a <= cur.b:
@@ -216,7 +222,7 @@ def segment_set(raw: Iterable[Segment]) -> SegmentSet:
         merged.append(cur)
     kept_points = [_segment(p, p) for p in points
                    if not any(s.contains_point(p) for s in merged)]
-    return SegmentSet(tuple(sorted(merged + kept_points)))
+    return SegmentSet(tuple(sorted(merged + kept_points, key=_ends)))
 
 
 def graphs_equal(first: SegmentSet, second: SegmentSet) -> bool:
@@ -275,19 +281,23 @@ def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
     """
     cells = (len(f.points) - 1) * (len(g.points) - 1)
     _check_cap(cells, f"pullback graph needs {cells} cells")
-    g_pieces = [(min(v0, v1), max(v0, v1), u0, v0, u1, v1)
+    g_pieces = [(v0, u0, v1, u1) if v0 < v1 else (v1, u1, v0, u0)
                 for (u0, v0), (u1, v1) in g.segments()]
     pieces: list[Segment] = []
     for (x0, y0), (x1, y1) in f.segments():
-        f_lo, f_hi = min(y0, y1), max(y0, y1)
-        for g_lo, g_hi, u0, v0, u1, v1 in g_pieces:
-            lo, hi = max(f_lo, g_lo), min(f_hi, g_hi)
+        f_lo, xa, f_hi, xb = (y0, x0, y1, x1) if y0 < y1 else (y1, x1, y0, x0)
+        for g_lo, ua, g_hi, ub in g_pieces:
+            # lo and hi are each an end of the piece that the comparison
+            # picks; only the other piece is interpolated.
+            lo_on_f, hi_on_f = f_lo >= g_lo, f_hi <= g_hi
+            lo = f_lo if lo_on_f else g_lo
+            hi = f_hi if hi_on_f else g_hi
             if lo <= hi:
                 pieces.append(_segment(
-                    (_interpolate(y0, x0, y1, x1, lo),
-                     _interpolate(v0, u0, v1, u1, lo)),
-                    (_interpolate(y0, x0, y1, x1, hi),
-                     _interpolate(v0, u0, v1, u1, hi))))
+                    (xa, _interpolate(g_lo, ua, g_hi, ub, lo)) if lo_on_f
+                    else (_interpolate(f_lo, xa, f_hi, xb, lo), ua),
+                    (xb, _interpolate(g_lo, ua, g_hi, ub, hi)) if hi_on_f
+                    else (_interpolate(f_lo, xa, f_hi, xb, hi), ub)))
     return segment_set(pieces)
 
 

@@ -1,5 +1,6 @@
 """PL map construction, evaluation, composition, preimages, fixed points."""
 
+import importlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 from icm import (DEFAULT_BREAKPOINT_CAP, DomainError, Interval, PLMap,
                  ResourceError, compose, conjugate, identity_map, interval,
                  iterate, make_plmap, rat, tent)
+from icm.core import _interpolate, invert_homeomorphism
 from conftest import (conjugated_tent_pair, hat_demo_pair,
-                      invariant_chain_pair, random_into_map, random_onto_map)
+                      invariant_chain_pair, random_homeo, random_into_map,
+                      random_onto_map)
 
 F = Fraction
+decompose_module = importlib.import_module("icm.decompose")
 
 
 @st.composite
@@ -192,16 +196,41 @@ def _outcome(fn, *args, **kwargs):
         return str(err)
 
 
+def _walk_corpus(rng):
+    """Tents, onto and into maps on four grids, and conjugated tents."""
+    maps = [tent(n) for n in range(2, 10)]
+    for denom in (6, 7, 12, 30):
+        maps += [random_onto_map(rng, denom=denom) for _ in range(5)]
+        maps += [random_into_map(rng, denom=denom) for _ in range(5)]
+    maps += [conjugated_tent_pair(rng, rng.randint(2, 5),
+                                  rng.randint(2, 5))[i % 2]
+             for i in range(8)]
+    return maps
+
+
+def _grid_map(rng, denom):
+    """A map on the 1/denom grid with up to 5 interior breakpoints, drawn
+    from points that may be straight; homeomorphisms occur too."""
+    while True:
+        xs = sorted(rng.sample(range(1, denom), rng.randint(0, 5)))
+        ys = [rng.randint(0, denom) for _ in range(len(xs) + 2)]
+        if all(a != b for a, b in zip(ys, ys[1:])):
+            return PLMap(tuple((F(x, denom), F(y, denom))
+                               for x, y in zip([0, *xs, denom], ys)))
+
+
+def _assert_canonical(m):
+    """m is what the validating constructor makes of its own points."""
+    ref = PLMap(m.points)
+    assert m.points == ref.points and m._xs == ref._xs
+    assert type(m.points) is tuple and type(m._xs) is tuple
+    assert all(type(v) is F for p in m.points for v in p)
+
+
 class TestCompose:
     def test_matches_reference_walk(self, monkeypatch):
         rng = random.Random(4410)
-        maps = [tent(n) for n in range(2, 10)]
-        for denom in (6, 7, 12, 30):
-            maps += [random_onto_map(rng, denom=denom) for _ in range(5)]
-            maps += [random_into_map(rng, denom=denom) for _ in range(5)]
-        maps += [conjugated_tent_pair(rng, rng.randint(2, 5),
-                                      rng.randint(2, 5))[i % 2]
-                 for i in range(8)]
+        maps = _walk_corpus(rng)
         for _ in range(8):
             f, k = random_onto_map(rng, max_interior=2, denom=6), rng.randint(2, 4)
             fk = f
@@ -259,6 +288,95 @@ class TestCompose:
         for i in range(0, 25):
             x = F(i, 24)
             assert fg(x) == f(g(x))
+
+
+class TestLibraryBuiltMaps:
+    """Maps that the library builds skip validation; each must be exactly
+    what the validating constructor makes of its points."""
+
+    def test_compose_iterate_conjugate_on_the_walk_corpus(self):
+        rng = random.Random(4410)
+        maps = _walk_corpus(rng)
+        for m in maps:
+            _assert_canonical(m)
+        for _ in range(300):
+            _assert_canonical(compose(rng.choice(maps), rng.choice(maps)))
+        for f in maps[8:48:4]:
+            for k in (2, 3):
+                _assert_canonical(iterate(f, k))
+        for _ in range(20):
+            h = random_homeo(rng, decreasing=rng.random() < 0.5)
+            _assert_canonical(conjugate(rng.choice(maps), h))
+
+    def test_compose_on_random_grid_pairs(self):
+        rng = random.Random(1313)
+        for _ in range(5000):
+            f = _grid_map(rng, rng.choice((6, 7, 8, 12, 16)))
+            g = _grid_map(rng, rng.choice((6, 7, 8, 12, 16)))
+            _assert_canonical(compose(f, g))
+
+    def test_compose_drops_straight_breakpoints_of_g(self):
+        # Every breakpoint of h is straight in (f ∘ h⁻¹) ∘ h = f, and f's
+        # own breakpoints come in as points inside the pieces of h.
+        rng = random.Random(1314)
+        dropped = 0
+        for _ in range(400):
+            f = _grid_map(rng, rng.choice((6, 8, 12)))
+            h = random_homeo(rng, max_interior=4, decreasing=rng.random() < 0.5)
+            f_h = compose(f, invert_homeomorphism(h))
+            back = compose(f_h, h)
+            _assert_canonical(back)
+            assert back == f
+            dropped += len(_reference_grid(f_h, h)) - len(back.points)
+        assert dropped > 600
+
+    def test_inverse_restriction_and_mirror(self, monkeypatch):
+        rng = random.Random(7)
+        for i in range(200):
+            h = random_homeo(rng, max_interior=5, decreasing=i % 2 == 1)
+            inverse = invert_homeomorphism(h)
+            _assert_canonical(inverse)
+            assert compose(inverse, h) == identity_map()
+        mirrored = []
+        monkeypatch.setattr(decompose_module, "_has_invariant_prefix",
+                            lambda m: mirrored.append(m) or False)
+        restricted = 0
+        for _ in range(200):
+            f = random_onto_map(rng, denom=rng.choice((6, 8, 12)))
+            decompose_module._has_invariant_suffix(f)
+            for a in range(12):
+                for b in range(a + 1, 13):
+                    J = interval(F(a, 12), F(b, 12))
+                    if J.contains_interval(f.image(J)):
+                        _assert_canonical(f.restrict_to_unit(J))
+                        restricted += 1
+        assert restricted > 200
+        assert len(mirrored) == 200
+        for m in mirrored:
+            _assert_canonical(m)
+
+
+class TestInterpolate:
+    @staticmethod
+    def _formula(s0, t0, s1, t1, s):
+        return t0 + (t1 - t0) * (s - s0) / (s1 - s0)
+
+    def test_matches_the_fraction_formula(self):
+        rng = random.Random(2024)
+        for _ in range(4000):
+            s0, s1, s, t0, t1 = (F(rng.randint(-40, 40), rng.randint(1, 36))
+                                 for _ in range(5))
+            if s0 == s1:
+                continue
+            for args in ((s0, t0, s1, t1, s), (s1, t1, s0, t0, s)):
+                value = _interpolate(*args)
+                assert type(value) is F
+                assert value == self._formula(*args)
+
+    def test_ends_come_back_as_they_are(self):
+        s0, t0, s1, t1 = F(-1, 3), F(2, 7), F(5, 6), F(-4, 9)
+        assert _interpolate(s0, t0, s1, t1, F(-2, 6)) is t0
+        assert _interpolate(s0, t0, s1, t1, F(10, 12)) is t1
 
 
 class TestIterate:
