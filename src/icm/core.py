@@ -35,8 +35,9 @@ def _check_cap(count: int, needs: str) -> None:
     """Raise ResourceError ("<needs>, above the cap C") when ``count``
     exceeds the cap: ICM_BREAKPOINT_CAP, read at each call, else the default.
     Called only where a size is known before anything is built: breakpoints
-    in `tent` and `compose`, laps in `entropy_lap`, cells in `pullback_graph`,
-    hats in `hats` and segment pairs in `parametrization_coincidences`.
+    in `tent`, `compose` and `iterate`, laps in `entropy_lap`, cells in
+    `pullback_graph`, hats in `hats`, segment pairs in
+    `parametrization_coincidences` and grid points in the oracle.
     """
     raw = os.environ.get("ICM_BREAKPOINT_CAP")
     try:
@@ -66,6 +67,9 @@ def rat(value) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise DomainError(f"zero denominator: {value!r}") from None
+        except ValueError:  # past Python's limit on integer string digits
+            raise DomainError(
+                f"too many digits: a {len(value)}-character rational") from None
     raise DomainError(f"not an exact rational: {value!r}")
 
 
@@ -525,9 +529,16 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
 
 
 def iterate(f: PLMap, k: int) -> PLMap:
-    """k-fold composition of f with itself, exact; `compose` caps each step."""
+    """k-fold composition of f with itself, exact; `compose` caps each step.
+
+    The k - 1 compositions build at least two breakpoints each, a count
+    checked against the cap before the first one.
+    """
     if not isinstance(k, int) or k < 1:
         raise DomainError("iteration count must be a positive integer")
+    if k > 1:
+        _check_cap(2 * (k - 1), f"{k - 1} compositions build at least "
+                   f"{2 * (k - 1)} breakpoints")
     acc = f
     for _ in range(k - 1):
         acc = compose(f, acc)

@@ -54,10 +54,13 @@ def entropy_lap(f: PLMap, k_max: int) -> LapSequence:
     images number O((k * #critical points)^2) however many laps there are.
 
     The cap bounds the breakpoints the iterates would need, at least
-    lap(f^k) + 1 for f^k; a larger count raises ResourceError.
+    lap(f^k) + 1 for f^k; a larger count raises ResourceError. The k_max
+    rounds count at least one lap each, so k_max is checked first.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise DomainError("k_max must be a positive integer")
+    if k_max > 1:
+        _check_cap(k_max, f"{k_max} rounds count at least {k_max} laps")
     crit = f.critical_points().xs
     crit_values = [f(c) for c in crit]
     images = {(ZERO, ONE): 1}  # the one lap of f^0, the identity

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import PLMap, Point
+from .core import PLMap, Point, _check_cap
 from .errors import DomainError
 
 
@@ -22,10 +22,16 @@ class GridSample:
     points: frozenset[Point]
 
 
-def sample_pullback(f: PLMap, g: PLMap, n: int) -> GridSample:
-    """All grid points (i/n, j/n) with g(j/n) = f(i/n), by direct evaluation."""
+def _check_grid(n: int) -> None:
+    """An integer n >= 2 whose n + 1 grid points fit in the cap."""
     if not isinstance(n, int) or n < 2:
         raise DomainError("grid resolution must be an integer >= 2")
+    _check_cap(n + 1, f"grid resolution {n} needs {n + 1} points")
+
+
+def sample_pullback(f: PLMap, g: PLMap, n: int) -> GridSample:
+    """All grid points (i/n, j/n) with g(j/n) = f(i/n), by direct evaluation."""
+    _check_grid(n)
     by_value: dict[Fraction, list[Fraction]] = {}
     for j in range(n + 1):
         y = Fraction(j, n)
@@ -44,8 +50,7 @@ def brute_force_strong_commute(f: PLMap, g: PLMap, n: int) -> bool:
     A necessary condition for strong commutation; returns False at the first
     witness of inequality.
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("grid resolution must be an integer >= 2")
+    _check_grid(n)
     for i in range(n + 1):
         x = Fraction(i, n)
         forward = {f(y) for y in g.preimage_point(x)}

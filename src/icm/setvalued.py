@@ -22,10 +22,6 @@ from .errors import PreconditionError
 from .report import Report
 
 
-def _cross(o: Point, p: Point, q: Point) -> Fraction:
-    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-
 @dataclass(frozen=True, order=True)
 class Segment:
     """Closed segment in [0,1]^2, endpoints stored in lexicographic order.
@@ -70,12 +66,11 @@ class Segment:
         return (A // d, B // d, C // d)
 
     def contains_point(self, p: Point) -> bool:
-        if self.is_point:
-            return p == self.a
-        if _cross(self.a, self.b, p) != 0:
-            return False
-        return (min(self.a[0], self.b[0]) <= p[0] <= max(self.a[0], self.b[0])
-                and min(self.a[1], self.b[1]) <= p[1] <= max(self.a[1], self.b[1]))
+        """The points of a line are in lexicographic order along it, so p is
+        on the segment when it lies between the ends and on their line."""
+        a, b = self.a, self.b
+        return (a <= p <= b and (p[0] - a[0]) * (b[1] - a[1])
+                == (p[1] - a[1]) * (b[0] - a[0]))
 
     def param_of(self, p: Point) -> Fraction:
         """Parameter t with a + t*(b-a) = p, assuming p on the supporting line."""
@@ -433,26 +428,25 @@ def _profile_with_features(f: PLMap, g: PLMap) -> tuple[
 
 # -- coincidences of the parametrization ---------------------------------------
 
-def _segment_pair_intersection(p: Segment, q: Segment):
-    """Intersection of two closed segments: None, ("point", P), or ("overlap", P, Q)."""
-    d1 = (p.b[0] - p.a[0], p.b[1] - p.a[1])
-    d2 = (q.b[0] - q.a[0], q.b[1] - q.a[1])
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if denom == 0:
-        if _cross(p.a, p.b, q.a) != 0:
-            return None
-        t0, t1 = sorted((p.param_of(q.a), p.param_of(q.b)))
-        lo, hi = max(t0, ZERO), min(t1, ONE)
+def _segment_pair_intersection(p: Segment, q: Segment, kp: tuple, kq: tuple):
+    """Intersection of two proper closed segments with line keys kp and kq:
+    None, ("point", P), or ("overlap", P, Q).
+
+    On one line the intersection is [max(a), min(b)] in lexicographic order;
+    two lines that are not parallel cross at the point Cramer's rule gives.
+    """
+    if kp == kq:
+        lo, hi = max(p.a, q.a), min(p.b, q.b)
         if lo > hi:
             return None
-        if lo == hi:
-            return ("point", p.at(lo))
-        return ("overlap", p.at(lo), p.at(hi))
-    rx, ry = q.a[0] - p.a[0], q.a[1] - p.a[1]
-    t = (rx * d2[1] - ry * d2[0]) / denom
-    u = (rx * d1[1] - ry * d1[0]) / denom
-    if ZERO <= t <= ONE and ZERO <= u <= ONE:
-        return ("point", p.at(t))
+        return ("point", lo) if lo == hi else ("overlap", lo, hi)
+    (A1, B1, C1), (A2, B2, C2) = kp, kq
+    det = A1 * B2 - A2 * B1
+    if det == 0:
+        return None
+    cross = (Fraction(B1 * C2 - B2 * C1, det), Fraction(C1 * A2 - C2 * A1, det))
+    if p.a <= cross <= p.b and q.a <= cross <= q.b:
+        return ("point", cross)
     return None
 
 
@@ -469,11 +463,13 @@ def parametrization_coincidences(f: PLMap, g: PLMap):
     pairs = n * (n - 1) // 2
     _check_cap(pairs, f"coincidences need {pairs} segment pairs")
     pieces = [_segment(a, b) for a, b in zip(vertices, vertices[1:])]
+    keys = [s.line_key() for s in pieces]
     points: set[Point] = set()
     overlaps: list[tuple[Point, Point]] = []
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
-            hit = _segment_pair_intersection(pieces[i], pieces[j])
+            hit = _segment_pair_intersection(pieces[i], pieces[j],
+                                             keys[i], keys[j])
             if hit is None:
                 continue
             if hit[0] == "overlap":

@@ -201,6 +201,19 @@ class TestCli:
         code, _, err = run_cli(
             ["tent", "3", "--out", maps_dir / "no-such-dir" / "T3.pwl"], capsys)
         assert code == 2 and err.startswith("error: cannot write")
+        # Python 3.11+ refuses to convert longer digit strings to int.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            digits = "1" * (limit + 1)
+            long_token = maps_dir / "long.pwl"
+            long_token.write_text(f"0 0\n1/{digits} 1\n1 0\n")
+            for argv in (["eval", maps_dir / "T3.pwl", digits],
+                         ["eval", long_token, "0"]):
+                code, out, err = run_cli(argv, capsys)
+                assert (code, out) == (2, "")
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert "too many digits" in err
+            assert "line 2: " in err
 
     def test_library_functions_looked_up_at_call_time(self, maps_dir, capsys,
                                                       monkeypatch):
@@ -232,6 +245,25 @@ class TestCli:
         monkeypatch.setenv("ICM_BREAKPOINT_CAP", "50")
         code, _, err = run_cli(["iterate", maps_dir / "T3.pwl", "8"], capsys)
         assert code == 4 and "error" in err
+
+    # On the identity every step is cheap, but 10^11 of them run for days;
+    # the step count alone exceeds the default cap, before any step.
+    @pytest.mark.parametrize("argv", [
+        ["iterate", "ID.pwl", "100000000000"],
+        ["entropy", "ID.pwl", "--method", "lap", "--iters", "100000000000"],
+        ["verify", "ID.pwl", "ID.pwl", "--oracle", "100000000000"]],
+        ids=lambda argv: argv[0])
+    def test_step_counts_bounded_by_cap(self, tmp_path, capsys, monkeypatch,
+                                        argv):
+        (tmp_path / "ID.pwl").write_text("0 0\n1 1\n")
+        calls = []
+        compose = icm.core.compose
+        monkeypatch.setattr(icm.core, "compose",
+                            lambda f, g: calls.append(1) or compose(f, g))
+        code, out, err = run_cli(
+            [tmp_path / a if a.endswith(".pwl") else a for a in argv], capsys)
+        assert (code, out, calls) == (4, "", [])
+        assert err.startswith("error: ") and "above the cap 3000000" in err
 
     def test_compose_bounded_by_cap(self, maps_dir, capsys, monkeypatch):
         # T4 ∘ T6 needs 25 breakpoints

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from conftest import (conjugated_tent_pair, hat_demo_pair,
 
 F = Fraction
 decompose_module = importlib.import_module("icm.decompose")
+core_module = importlib.import_module("icm.core")
 
 
 @st.composite
@@ -93,6 +95,13 @@ class TestConstruction:
                 rat(text)
         with pytest.raises(DomainError, match="zero denominator"):
             rat("1/0")
+        # Python 3.11+ refuses to convert longer digit strings to int.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            digits = "7" * (limit + 1)
+            for text in (digits, "-" + digits, "1/" + digits, digits + "/3"):
+                with pytest.raises(DomainError, match="too many digits"):
+                    rat(text)
 
     def test_merge_matches_cross_product_reference(self):
         # Values on a coarse grid, so that collinear runs, turns and
@@ -395,6 +404,22 @@ class TestIterate:
     def test_bad_count(self):
         with pytest.raises(DomainError):
             iterate(tent(2), 0)
+
+    def test_step_count_checked_before_the_first_step(self, monkeypatch):
+        # 500 compositions of the identity build 1000 breakpoints at least
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1000")
+        assert iterate(identity_map(), 501) == identity_map()
+        calls = []
+        monkeypatch.setattr(core_module, "compose",
+                            lambda f, g: calls.append(1) or g)
+        with pytest.raises(ResourceError, match="501 compositions build at "
+                           "least 1002 breakpoints, above the cap 1000"):
+            iterate(identity_map(), 502)
+        assert calls == []
+        # one step composes nothing, so an invalid cap is not read
+        t3 = tent(3)
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "0")
+        assert iterate(t3, 1) is t3
 
 
 class TestPreimages:

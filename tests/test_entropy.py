@@ -70,6 +70,17 @@ class TestEntropyLap:
         with pytest.raises(ResourceError):
             entropy_lap(tent(3), 4)
 
+    def test_round_count_checked_before_the_first_round(self, monkeypatch):
+        # the identity has one lap in each of its k_max rounds
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1000")
+        assert entropy_lap(identity_map(), 1000).laps[-1] == (1000, 1)
+        with pytest.raises(ResourceError,
+                           match="1001 rounds count at least 1001 laps"):
+            entropy_lap(identity_map(), 1001)
+        t3 = tent(3)
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "0")
+        assert entropy_lap(t3, 1).laps == ((1, 3),)
+
     def test_recursion_matches_materialised_iterates(self):
         rng = random.Random(61)
         maps = [tent(n) for n in range(2, 6)]

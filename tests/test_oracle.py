@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from icm import (DomainError, brute_force_strong_commute, identity_map,
-                 pullback_graph, sample_pullback, strongly_commute, tent)
+from icm import (DomainError, ResourceError, brute_force_strong_commute,
+                 identity_map, pullback_graph, sample_pullback,
+                 strongly_commute, tent)
 from conftest import random_onto_map
 
 F = Fraction
@@ -33,6 +34,15 @@ class TestSamplePullback:
     def test_resolution_validated(self):
         with pytest.raises(DomainError):
             sample_pullback(tent(2), tent(2), 1)
+
+    @pytest.mark.parametrize("oracle", [sample_pullback,
+                                        brute_force_strong_commute])
+    def test_grid_bounded_by_cap(self, monkeypatch, oracle):
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1000")
+        oracle(identity_map(), identity_map(), 999)
+        with pytest.raises(ResourceError, match="grid resolution 1000 needs "
+                           "1001 points, above the cap 1000"):
+            oracle(identity_map(), identity_map(), 1000)
 
 
 class TestBruteForce:

@@ -12,7 +12,8 @@ from icm import (PLMap, PreconditionError, ResourceError, Segment, commute,
                  graphs_equal, hats, identity_map, make_plmap, profile,
                  pullback_graph, sample_pullback, segment_set,
                  strongly_commute, tent, verify_strong_consequences)
-from icm.setvalued import parametrization_coincidences
+from icm.setvalued import (_segment_pair_intersection,
+                           parametrization_coincidences)
 from conftest import (alternating_map, block_swap_pair, conjugated_tent_pair,
                       coprime_pair, double_reversal_pair, hat_demo_pair,
                       invariant_chain_pair, random_into_map, random_onto_map)
@@ -60,6 +61,60 @@ def grid_polyline(f, g):
     """Reference forward polyline: both maps evaluated on the merged grid."""
     grid = sorted(set(f.xs) | set(g.xs))
     return [(t, (g(t), f(t))) for t in grid]
+
+
+def _cross(o, p, q):
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def box_contains_point(s, p):
+    """Reference incidence: a cross product and the min/max box."""
+    if s.is_point:
+        return p == s.a
+    if _cross(s.a, s.b, p) != 0:
+        return False
+    return (min(s.a[0], s.b[0]) <= p[0] <= max(s.a[0], s.b[0])
+            and min(s.a[1], s.b[1]) <= p[1] <= max(s.a[1], s.b[1]))
+
+
+def parametric_intersection(p, q):
+    """Reference intersection of two proper segments, by their parameters."""
+    d1 = (p.b[0] - p.a[0], p.b[1] - p.a[1])
+    d2 = (q.b[0] - q.a[0], q.b[1] - q.a[1])
+    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    if denom == 0:
+        if _cross(p.a, p.b, q.a) != 0:
+            return None
+        t0, t1 = sorted((p.param_of(q.a), p.param_of(q.b)))
+        lo, hi = max(t0, F(0)), min(t1, F(1))
+        if lo > hi:
+            return None
+        if lo == hi:
+            return ("point", p.at(lo))
+        return ("overlap", p.at(lo), p.at(hi))
+    rx, ry = q.a[0] - p.a[0], q.a[1] - p.a[1]
+    t = (rx * d2[1] - ry * d2[0]) / denom
+    u = (rx * d1[1] - ry * d1[0]) / denom
+    if 0 <= t <= 1 and 0 <= u <= 1:
+        return ("point", p.at(t))
+    return None
+
+
+def reference_coincidences(f, g):
+    """parametrization_coincidences with the parametric intersection."""
+    vertices = [p for _, p in forward_polyline(f, g)]
+    pieces = [Segment(a, b) for a, b in zip(vertices, vertices[1:])]
+    points, overlaps = set(), []
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            hit = parametric_intersection(pieces[i], pieces[j])
+            if hit is None:
+                continue
+            if hit[0] == "overlap":
+                overlaps.append((hit[1], hit[2]))
+            elif j > i + 1 or hit[1] != vertices[i + 1]:
+                points.add(hit[1])
+    return sorted(points), overlaps
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +265,85 @@ class TestIntegerGraphLayer:
             for s in (*fwd, *pull, *pull.reflected()):
                 assert s == Segment(s.a, s.b) and s.a <= s.b, s
                 assert all(type(c) is F for c in (*s.a, *s.b)), s
+
+
+class TestIncidence:
+    """Incidence by lexicographic order along a line and integer line keys,
+    against the box, cross-product and parametric rules it replaced."""
+
+    def test_contains_point_matches_box_rule(self):
+        rng = random.Random(1414)
+        grid = lambda: F(rng.randint(0, 6), 6)
+        seen = dict.fromkeys(["end", "inside", "on the line, outside",
+                              "off the line"], 0)
+        for _ in range(1500):
+            shape = rng.randrange(4)  # any, vertical, horizontal, a point
+            a = (grid(), grid())
+            b = (a[0] if shape in (1, 3) else grid(),
+                 a[1] if shape in (2, 3) else grid())
+            s = Segment(a, b)
+            d = (s.b[0] - s.a[0], s.b[1] - s.a[1])
+            tries = [s.a, s.b, (grid(), grid())]
+            for t in (F(-1, 2), F(1, 3), F(3, 2)):
+                on = (s.a[0] + t * d[0], s.a[1] + t * d[1])
+                # on the line, and just above it and just left of it
+                tries += [on, (on[0], on[1] + F(1, 997)),
+                          (on[0] - F(1, 991), on[1])]
+            for p in tries:
+                got = s.contains_point(p)
+                assert got == box_contains_point(s, p), (s, p)
+                seen["end" if p in (s.a, s.b) else "inside" if got
+                     else "on the line, outside" if _cross(s.a, s.b, p) == 0
+                     and not s.is_point else "off the line"] += 1
+        assert all(count > 500 for count in seen.values()), seen
+
+    def test_pair_intersection_matches_parametric_rule(self):
+        rng = random.Random(1415)
+        grid = lambda: F(rng.randint(0, 4), 4)
+        seen = dict.fromkeys(["overlap", "touching", "collinear disjoint",
+                              "parallel", "crossing", "T-junction",
+                              "shared vertex", "apart"], 0)
+        for _ in range(6000):
+            a, b, c, d = ((grid(), grid()) for _ in range(4))
+            on_ab = lambda t: (a[0] + t * (b[0] - a[0]),
+                               a[1] + t * (b[1] - a[1]))
+            if rng.random() < 0.5:  # d, and maybe c, on the line ab
+                d = on_ab(F(rng.randint(-4, 8), 4))
+                if rng.random() < 0.5:
+                    c = on_ab(F(rng.randint(-4, 8), 4))
+            if a == b or c == d:
+                continue
+            p, q = Segment(a, b), Segment(c, d)
+            kp, kq = p.line_key(), q.line_key()
+            got = _segment_pair_intersection(p, q, kp, kq)
+            assert got == parametric_intersection(p, q), (p, q)
+            assert got is None or all(type(v) is F
+                                      for pt in got[1:] for v in pt)
+            ends = {p.a, p.b} & {q.a, q.b}
+            if kp == kq:
+                kind = ("overlap" if got and got[0] == "overlap"
+                        else "touching" if got else "collinear disjoint")
+            elif kp[0] * kq[1] == kp[1] * kq[0]:
+                kind = "parallel"
+            elif got is None:
+                kind = "apart"
+            elif got[1] in ends:
+                kind = "shared vertex"
+            elif got[1] in (p.a, p.b, q.a, q.b):
+                kind = "T-junction"
+            else:
+                kind = "crossing"
+            seen[kind] += 1
+        assert all(count > 100 for count in seen.values()), seen
+
+    def test_coincidences_match_parametric_reference(self, differential_mix):
+        compared = 0
+        for f, g, _, _ in differential_mix:
+            if len(f.points) < 20:
+                assert parametrization_coincidences(f, g) == \
+                    reference_coincidences(f, g), (f, g)
+                compared += 1
+        assert compared > 1000
 
 
 class TestCommutation:
