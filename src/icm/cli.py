@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or boolean true), 1 boolean false / failed checks,
 2 usage, parse, or domain errors (an unreadable or non-UTF-8 map file and an
-unwritable `--out` path included), 3 violated preconditions, 4 resource cap.
+unwritable `--out` path included), 3 violated preconditions, 4 resource cap
+or a result with more digits than Python prints.
 The library reads the cap from ICM_BREAKPOINT_CAP (`core._check_cap`), so
 every verb that composes, counts laps, or builds a tent or a pullback graph
 is bounded by it.
@@ -355,6 +356,14 @@ def main(argv=None) -> int:
         if isinstance(exc, DomainError):
             return 2
         return 4 if isinstance(exc, ResourceError) else 3
+    except ValueError as exc:
+        # `str` of an int past sys.get_int_max_str_digits() (Python 3.11+)
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: the output holds an integer of more than "
+              f"{sys.get_int_max_str_digits()} digits, past Python's limit "
+              "on integer string conversion", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceError
 
@@ -185,35 +185,37 @@ class FixedSet:
         return min(candidates)
 
     def intersect(self, other: "FixedSet") -> "FixedSet":
-        points: set[Fraction] = set()
-        segs: list[Interval] = []
-        for x in self.isolated:
-            if other.contains(x):
-                points.add(x)
-        for x in other.isolated:
-            if self.contains(x):
-                points.add(x)
-        for a in self.segments:
-            for b in other.segments:
-                lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-                if lo < hi:
-                    segs.append(Interval(lo, hi))
-                elif lo == hi:
-                    points.add(lo)
-        return _build_fixed_set(points, segs)
+        """One merge walk. The components of a fixed set are closed,
+        pairwise apart and sorted: advancing the side whose component ends
+        first meets the pairwise overlaps, which are the components of the
+        intersection, in order."""
+        mine, theirs = (sorted([(x, x) for x in fs.isolated]
+                               + [(c.lo, c.hi) for c in fs.segments])
+                        for fs in (self, other))
+        overlaps = []
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            (a0, a1), (b0, b1) = mine[i], theirs[j]
+            if a0 <= b1 and b0 <= a1:
+                overlaps.append((max(a0, b0), min(a1, b1)))
+            if a1 < b1:
+                i += 1
+            else:
+                j += 1
+        return _fixed_set(overlaps)
 
 
-def _build_fixed_set(points: Iterable[Fraction], segs: Iterable[Interval]) -> FixedSet:
-    merged: list[list[Fraction]] = []
-    for s in sorted(segs, key=lambda s: (s.lo, s.hi)):
-        if merged and s.lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], s.hi)
-        else:
-            merged.append([s.lo, s.hi])
-    seg_ivs = tuple(Interval(a, b) for a, b in merged)
-    iso = tuple(sorted(p for p in set(points)
-                       if not any(iv.contains(p) for iv in seg_ivs)))
-    return FixedSet(iso, seg_ivs)
+def _fixed_set(pairs: Iterable[tuple[Fraction, Fraction]]) -> FixedSet:
+    """The fixed set of the closed components [lo, hi] among these sorted,
+    pairwise apart pairs; a pair with lo > hi is empty and left out."""
+    isolated: list[Fraction] = []
+    segments: list[Interval] = []
+    for lo, hi in pairs:
+        if lo < hi:
+            segments.append(Interval(lo, hi))
+        elif lo == hi:
+            isolated.append(lo)
+    return FixedSet(tuple(isolated), tuple(segments))
 
 
 def _straight(p: Point, q: Point, r: Point) -> bool:
@@ -228,6 +230,42 @@ def _straight(p: Point, q: Point, r: Point) -> bool:
 # A region piece is an x-interval with endpoint-inclusion flags, used to
 # represent preimages of open value bands exactly.
 _Piece = tuple[Fraction, Fraction, bool, bool]
+
+
+def _level_pieces(points: Sequence[Point], lo: Fraction, hi: Fraction,
+                  strict: bool) -> list[_Piece]:
+    """Connected components of {x : lo <= v(x) <= hi}, or of
+    {x : lo < v(x) < hi} when ``strict``, for the PL function v with these
+    (x, value) vertices.
+
+    Components come back sorted, as (a, b, a_included, b_included): the
+    piece a segment contributes lies inside it, so the pieces come out in x
+    order, and a piece that touches the last one where either includes the
+    shared point joins it. A constant segment lies in the band whole or not
+    at all; only f(x) - x has such segments (where f has slope 1), and only
+    with a closed band.
+    """
+    out: list[list] = []
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        wlo, whi = max(lo, min(y0, y1)), min(hi, max(y0, y1))
+        if wlo > whi:
+            continue
+        if y0 == y1:
+            xa, xb = x0, x1
+        else:
+            xa = _interpolate(y0, x0, y1, x1, wlo)
+            xb = _interpolate(y0, x0, y1, x1, whi)
+        incl_a = not strict or lo < wlo < hi
+        incl_b = not strict or lo < whi < hi
+        if xa > xb:
+            xa, xb, incl_a, incl_b = xb, xa, incl_b, incl_a
+        if xa == xb and not (incl_a and incl_b):
+            continue
+        if out and xa == out[-1][1] and (out[-1][3] or incl_a):
+            out[-1][1], out[-1][3] = xb, incl_b
+        else:
+            out.append([xa, xb, incl_a, incl_b])
+    return [tuple(p) for p in out]
 
 
 @dataclass(frozen=True)
@@ -341,48 +379,13 @@ class PLMap:
                 found.add(_interpolate(y0, x0, y1, x1, y))
         return sorted(found)
 
-    def _region_pieces(self, lo: Fraction, hi: Fraction,
-                       strict: bool) -> list[_Piece]:
-        """Connected components of {x : lo <= f(x) <= hi}, or of
-        {x : lo < f(x) < hi} when ``strict``.
-
-        Components come back sorted, as (a, b, a_included, b_included).
-        """
-        pieces: list[_Piece] = []
-        for (x0, y0), (x1, y1) in self.segments():
-            wlo, whi = max(lo, min(y0, y1)), min(hi, max(y0, y1))
-            if wlo > whi:
-                continue
-            xa = _interpolate(y0, x0, y1, x1, wlo)
-            xb = _interpolate(y0, x0, y1, x1, whi)
-            incl_a = not strict or lo < wlo < hi
-            incl_b = not strict or lo < whi < hi
-            if xa > xb:
-                xa, xb, incl_a, incl_b = xb, xa, incl_b, incl_a
-            if xa == xb and not (incl_a and incl_b):
-                continue
-            pieces.append((xa, xb, incl_a, incl_b))
-        pieces.sort(key=lambda p: (p[0], p[1]))
-        merged: list[list] = []
-        for a, b, ia, ib in pieces:
-            if merged:
-                pa, pb, pia, pib = merged[-1]
-                if a < pb or (a == pb and (pib or ia)):
-                    if b > pb:
-                        merged[-1][1], merged[-1][3] = b, ib
-                    elif b == pb:
-                        merged[-1][3] = pib or ib
-                    continue
-            merged.append([a, b, ia, ib])
-        return [tuple(m) for m in merged]
-
     def preimage_interval(self, J: Interval) -> list[Interval]:
-        pieces = self._region_pieces(J.lo, J.hi, strict=False)
+        pieces = _level_pieces(self.points, J.lo, J.hi, strict=False)
         return [Interval(a, b) for a, b, _, _ in pieces]
 
     def band_components(self, lo, hi) -> list[_Piece]:
         """Components of {x : lo < f(x) < hi} (relatively open in [0,1])."""
-        return self._region_pieces(rat(lo), rat(hi), strict=True)
+        return _level_pieces(self.points, rat(lo), rat(hi), strict=True)
 
     # -- shape predicates -----------------------------------------------------
 
@@ -424,23 +427,11 @@ class PLMap:
     # -- fixed points ---------------------------------------------------------
 
     def fixed_points(self, within: Interval = FULL) -> FixedSet:
-        points: set[Fraction] = set()
-        segs: list[Interval] = []
-        for (x0, y0), (x1, y1) in self.segments():
-            a, b = max(x0, within.lo), min(x1, within.hi)
-            if a > b:
-                continue
-            d0, d1 = y0 - x0, y1 - x1  # f(x) - x at the piece ends
-            if d0 == d1 == 0:  # the whole piece sits on the diagonal
-                if a < b:
-                    segs.append(Interval(a, b))
-                else:
-                    points.add(a)
-            elif min(d0, d1) <= 0 <= max(d0, d1):
-                root = _interpolate(d0, x0, d1, x1, ZERO)
-                if a <= root <= b:
-                    points.add(root)
-        return _build_fixed_set(points, segs)
+        """The closed zero set of f(x) - x, cut to ``within``."""
+        zeros = _level_pieces([(x, y - x) for x, y in self.points],
+                              ZERO, ZERO, strict=False)
+        return _fixed_set((max(a, within.lo), min(b, within.hi))
+                          for a, b, _, _ in zeros)
 
     # -- restriction ----------------------------------------------------------
 

@@ -163,27 +163,15 @@ def _running_max_vertices(f: PLMap) -> list[tuple[Fraction, Fraction]]:
     return verts
 
 
-def _pl_nonpositive_somewhere(verts: list[tuple[Fraction, Fraction]]) -> bool:
-    """Whether the PL function with these (x, value) vertices is <= 0 at some
-    interior point of (0, 1)."""
-    for x, d in verts:
-        if ZERO < x < ONE and d <= 0:
-            return True
-    for (x0, d0), (x1, d1) in zip(verts, verts[1:]):
-        if d0 <= 0 and d1 <= 0:
-            mid = (x0 + x1) / 2
-            if ZERO < mid < ONE:
-                return True
-        elif min(d0, d1) < 0 < max(d0, d1):
-            r = _interpolate(d0, x0, d1, x1, ZERO)
-            if ZERO < r < ONE:
-                return True
-    return False
-
-
 def _has_invariant_prefix(f: PLMap) -> bool:
-    verts = [(x, m - x) for x, m in _running_max_vertices(f)]
-    return _pl_nonpositive_somewhere(verts)
+    """Whether some [0, x] with 0 < x < 1 is invariant, i.e. the running
+    max m of f has m(x) <= x there. m - x is linear between the vertices of
+    m, m(0) - 0 = f(0) >= 0 and, f being onto, m(1) - 1 = 0: so it is enough
+    to test the interior vertices. Precondition: f is onto and has two or
+    more pieces, so that there is one. Callers meet it, since an onto map of
+    one piece is open and open maps are classified before this test.
+    """
+    return any(m <= x for x, m in _running_max_vertices(f)[1:-1])
 
 
 def _has_invariant_suffix(f: PLMap) -> bool:
@@ -325,7 +313,7 @@ class Decomposition:
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
-        return tuple(Interval(a, b) for a, b in zip(self.points, self.points[1:]))
+        return tuple(_intervals_of(self.points))
 
     def as_dict(self) -> dict:
         return {
@@ -471,7 +459,7 @@ def verify_decomposition(f: PLMap, g: PLMap, D: Decomposition) -> Report:
         return report
 
     l = len(pts) - 1
-    ivs = [Interval(a, b) for a, b in zip(pts, pts[1:])]
+    ivs = _intervals_of(pts)
 
     # The squares are kept for the stored-block check below.
     named_maps = {"f": f, "g": g}

@@ -111,6 +111,20 @@ def random_into_map(rng: random.Random, max_interior: int = 5,
                            for x, y in zip(xs, ys)))
 
 
+def random_diagonal_map(rng: random.Random, max_interior: int = 6,
+                        denom: int = 12) -> PLMap:
+    """A map whose breakpoints lie on the diagonal about half the time, so
+    that fixed points come in segments as well as alone; onto or not."""
+    while True:
+        k = rng.randint(1, max_interior)
+        xs = [0, *sorted(rng.sample(range(1, denom), min(k, denom - 1))),
+              denom]
+        ys = [x if rng.random() < 0.5 else rng.randint(0, denom) for x in xs]
+        if all(a != b for a, b in zip(ys, ys[1:])):
+            return PLMap(tuple((Fraction(x, denom), Fraction(y, denom))
+                               for x, y in zip(xs, ys)))
+
+
 def random_homeo(rng: random.Random, max_interior: int = 3,
                  denom: int = 16, decreasing: bool = False) -> PLMap:
     k = rng.randint(0, max_interior)

@@ -181,6 +181,41 @@ class TestCli:
         assert code == 0
         assert abs(float(out.strip()) - 1.3862943611198906) < 1e-9
 
+    def test_decompose_text(self, maps_dir, capsys):
+        code, out, _ = run_cli(
+            ["decompose", maps_dir / "swap_f.pwl", maps_dir / "swap_g.pwl",
+             "--format", "text"], capsys)
+        assert code == 0
+        assert out == (
+            "case: b\n"
+            "points: 0 1/2 3/4 1\n"
+            "reverser: f\n"
+            "[0, 1/2]: f: open-non-monotone -> [3/4, 1], "
+            "g: open-non-monotone -> [0, 1/2], "
+            "f2: open-non-monotone -> [0, 1/2]\n"
+            "[1/2, 3/4]: f: monotone -> [1/2, 3/4], "
+            "g: non-open-non-monotone -> [1/2, 3/4], "
+            "f2: monotone -> [1/2, 3/4]\n"
+            "[3/4, 1]: f: open-non-monotone -> [0, 1/2], "
+            "g: open-non-monotone -> [3/4, 1], "
+            "f2: open-non-monotone -> [3/4, 1]\n")
+
+    def test_markov_entropy_of_a_non_integer_perron_root(self, tmp_path,
+                                                        capsys):
+        # cover matrix [[0, 1], [1, 1]]: the golden mean
+        path = tmp_path / "golden.pwl"
+        path.write_text("0 1/2\n1/2 1\n1 0\n")
+        code, out, _ = run_cli(["entropy", path], capsys)
+        assert (code, out) == (0, "log 1.61803398875 ~= 0.48121182506\n")
+
+    def test_markov_method_on_a_non_markov_map_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "nm.pwl"
+        path.write_text("0 0\n1/2 1\n1 1/3\n")
+        code, out, err = run_cli(["entropy", path, "--method", "markov"],
+                                 capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: map is not Markov within the configured bound\n"
+
     def test_primary_values(self, maps_dir, capsys):
         code, out, _ = run_cli(["primary-values", maps_dir / "T3.pwl"], capsys)
         assert code == 0
@@ -214,6 +249,29 @@ class TestCli:
                 assert err.startswith("error: ") and err.count("\n") == 1
                 assert "too many digits" in err
             assert "line 2: " in err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="Python prints integers of any length")
+    def test_output_past_the_digit_limit_exit_4(self, tmp_path, capsys):
+        # An accepted input of `limit` digits maps to a value whose
+        # denominator, 7 * (10^limit - 1), has one digit more.
+        path = tmp_path / "seventh.pwl"
+        path.write_text("0 0\n1 1/7\n")
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(["eval", path, "1/" + "9" * limit], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"more than {limit} digits" in err
+
+    def test_other_value_errors_propagate(self, maps_dir, capsys,
+                                          monkeypatch):
+        def broken(f, g):
+            raise ValueError("not a digit-limit error")
+
+        monkeypatch.setattr(icm.setvalued, "strongly_commute", broken)
+        with pytest.raises(ValueError, match="not a digit-limit error"):
+            main(["strong-commute", str(maps_dir / "T3.pwl"),
+                  str(maps_dir / "T4.pwl")])
 
     def test_library_functions_looked_up_at_call_time(self, maps_dir, capsys,
                                                       monkeypatch):

@@ -10,6 +10,7 @@ whose step count alone exceeds it must exit 4 before the first step.
 
 import contextlib
 import io
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -20,10 +21,14 @@ from conftest import block_swap_pair, invariant_chain_pair
 
 CAP = 1000
 
-VALID = ["T2", "T3", "ID", "chain_f", "chain_g", "swap_f", "swap_g"]
+VALID = ["T2", "T3", "ID", "chain_f", "chain_g", "swap_f", "swap_g",
+         "seventh"]
 BROKEN = ["malformed", "bom", "long", "empty", "a_directory", "missing"]
 LONG = "1" * 5000  # past Python's limit on integer string digits
-VALUES = ["0", "-1", "-7", "2", "3", "1/2", "0.5", "1.5", LONG,
+# At the limit: accepted, but seventh.pwl maps it to a denominator of one
+# digit more, which Python refuses to print.
+NINES = "1/" + "9" * getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+VALUES = ["0", "-1", "-7", "2", "3", "1/2", "0.5", "1.5", LONG, NINES,
           # the sides of the cap: n + 1 grid points, k rounds, 2(k - 1)
           # breakpoints for k steps
           str(CAP - 1), str(CAP), str(CAP + 1), "500", "501", "502",
@@ -58,7 +63,7 @@ def contract_dir(tmp_path_factory):
     texts = {"T2": dump_map_text(tent(2)), "T3": dump_map_text(tent(3)),
              "ID": "0 0\n1 1\n", "malformed": "0 0\n1 2\n",
              "bom": "\ufeff0 0\n1 1\n", "long": f"0 0\n1/{LONG} 1\n1 1\n",
-             "empty": ""}
+             "empty": "", "seventh": "0 0\n1 1/7\n"}
     for name, pair in (("chain", invariant_chain_pair()),
                        ("swap", block_swap_pair())):
         texts[f"{name}_f"] = dump_map_text(pair[0])
@@ -99,6 +104,7 @@ def run_in_process(argv):
 # Each of these once ended in a traceback or ran for days.
 @example(argv=["eval", "T3.pwl", LONG])
 @example(argv=["eval", "long.pwl", "0"])
+@example(argv=["eval", "seventh.pwl", NINES])
 @example(argv=["iterate", "ID.pwl", str(10**11)])
 @example(argv=["entropy", "ID.pwl", "--method", "lap", "--iters", str(10**11)])
 @example(argv=["verify", "ID.pwl", "ID.pwl", "--oracle", str(10**11)])

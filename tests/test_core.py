@@ -9,13 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icm import (DEFAULT_BREAKPOINT_CAP, DomainError, Interval, PLMap,
-                 ResourceError, compose, conjugate, identity_map, interval,
-                 iterate, make_plmap, rat, tent)
+from icm import (DEFAULT_BREAKPOINT_CAP, FULL, DomainError, FixedSet,
+                 Interval, PLMap, ResourceError, compose, conjugate,
+                 identity_map, interval, iterate, make_plmap, rat, tent)
 from icm.core import _interpolate, invert_homeomorphism
 from conftest import (conjugated_tent_pair, hat_demo_pair,
-                      invariant_chain_pair, random_homeo, random_into_map,
-                      random_onto_map)
+                      invariant_chain_pair, random_diagonal_map, random_homeo,
+                      random_into_map, random_onto_map)
 
 F = Fraction
 decompose_module = importlib.import_module("icm.decompose")
@@ -532,6 +532,155 @@ class TestFixedPoints:
                 mid = (a + b) / 2
                 if not fixed.contains(mid):
                     assert f(mid) != mid
+
+
+# -- references for the band walk: the code it replaced -----------------------
+
+def _region_pieces_reference(f, lo, hi, strict):
+    """Per-segment pieces of {lo <= f <= hi} (or the open band), sorted,
+    then merged."""
+    pieces = []
+    for (x0, y0), (x1, y1) in f.segments():
+        wlo, whi = max(lo, min(y0, y1)), min(hi, max(y0, y1))
+        if wlo > whi:
+            continue
+        xa = _interpolate(y0, x0, y1, x1, wlo)
+        xb = _interpolate(y0, x0, y1, x1, whi)
+        incl_a = not strict or lo < wlo < hi
+        incl_b = not strict or lo < whi < hi
+        if xa > xb:
+            xa, xb, incl_a, incl_b = xb, xa, incl_b, incl_a
+        if xa == xb and not (incl_a and incl_b):
+            continue
+        pieces.append((xa, xb, incl_a, incl_b))
+    pieces.sort(key=lambda p: (p[0], p[1]))
+    merged = []
+    for a, b, ia, ib in pieces:
+        if merged:
+            pa, pb, pia, pib = merged[-1]
+            if a < pb or (a == pb and (pib or ia)):
+                if b > pb:
+                    merged[-1][1], merged[-1][3] = b, ib
+                elif b == pb:
+                    merged[-1][3] = pib or ib
+                continue
+        merged.append([a, b, ia, ib])
+    return [tuple(m) for m in merged]
+
+
+def _fixed_set_reference(points, segs):
+    """Merge overlapping segments, then drop the points they cover."""
+    merged = []
+    for s in sorted(segs, key=lambda s: (s.lo, s.hi)):
+        if merged and s.lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], s.hi)
+        else:
+            merged.append([s.lo, s.hi])
+    seg_ivs = tuple(Interval(a, b) for a, b in merged)
+    iso = tuple(sorted(p for p in set(points)
+                       if not any(iv.contains(p) for iv in seg_ivs)))
+    return FixedSet(iso, seg_ivs)
+
+
+def _fixed_points_reference(f, within=FULL):
+    """A root search on each piece, cut to ``within``."""
+    points, segs = set(), []
+    for (x0, y0), (x1, y1) in f.segments():
+        a, b = max(x0, within.lo), min(x1, within.hi)
+        if a > b:
+            continue
+        d0, d1 = y0 - x0, y1 - x1
+        if d0 == d1 == 0:
+            if a < b:
+                segs.append(Interval(a, b))
+            else:
+                points.add(a)
+        elif min(d0, d1) <= 0 <= max(d0, d1):
+            root = _interpolate(d0, x0, d1, x1, F(0))
+            if a <= root <= b:
+                points.add(root)
+    return _fixed_set_reference(points, segs)
+
+
+def _intersect_reference(A, B):
+    """Every pair of components, merged again."""
+    points, segs = set(), []
+    points.update(x for x in A.isolated if B.contains(x))
+    points.update(x for x in B.isolated if A.contains(x))
+    for a in A.segments:
+        for b in B.segments:
+            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+            if lo < hi:
+                segs.append(Interval(lo, hi))
+            elif lo == hi:
+                points.add(lo)
+    return _fixed_set_reference(points, segs)
+
+
+def _band_walk_corpus(rng):
+    """Tents, onto and into maps, and maps with diagonal pieces."""
+    maps = [tent(n) for n in range(2, 7)] + [identity_map(),
+                                             *invariant_chain_pair()]
+    for denom in (6, 7, 12, 24):
+        maps += [random_onto_map(rng, denom=denom) for _ in range(10)]
+        maps += [random_into_map(rng, denom=denom) for _ in range(10)]
+        maps += [random_diagonal_map(rng, denom=denom) for _ in range(30)]
+    return maps
+
+
+def _cuts(f):
+    """Closed cuts, degenerate ones included, whose ends are the map's
+    breakpoints and the points of the 1/12 grid."""
+    ends = sorted({x for x, _ in f.points} | {F(i, 12) for i in range(13)})
+    return [Interval(a, b) for i, a in enumerate(ends) for b in ends[i::3]]
+
+
+class TestBandWalk:
+    """The band walk against the code it replaced: a per-segment scan with a
+    sort for preimages and bands, a per-piece root search merged again for
+    fixed points, and a pairwise intersection merged again."""
+
+    def test_preimages_and_bands_match_sorted_reference(self):
+        rng = random.Random(151)
+        for f in _band_walk_corpus(rng):
+            values = sorted({y for _, y in f.points}
+                            | {F(0), F(1, 3), F(1, 2), F(1)})
+            for lo in values:
+                for hi in values:
+                    expected = _region_pieces_reference(f, lo, hi, True)
+                    assert f.band_components(lo, hi) == expected, (f, lo, hi)
+                    if lo <= hi:
+                        expected = _region_pieces_reference(f, lo, hi, False)
+                        assert f.preimage_interval(Interval(lo, hi)) == [
+                            Interval(a, b) for a, b, _, _ in expected]
+
+    def test_fixed_points_match_root_search(self):
+        rng = random.Random(152)
+        with_segments = cut_differs = 0
+        for f in _band_walk_corpus(rng):
+            whole = f.fixed_points()
+            assert whole == _fixed_points_reference(f), f
+            with_segments += bool(whole.segments)
+            for J in _cuts(f):
+                cut = f.fixed_points(J)
+                assert cut == _fixed_points_reference(f, J), (f, J)
+                cut_differs += cut != whole
+        assert with_segments >= 40 and cut_differs >= 1000
+
+    def test_intersections_match_pairwise_reference(self):
+        rng = random.Random(153)
+        maps = _band_walk_corpus(rng)
+        kinds = set()
+        for f in maps:
+            for g in rng.sample(maps, 6):
+                for J in (FULL, *rng.sample(_cuts(f), 4)):
+                    A, B = f.fixed_points(J), g.fixed_points(J)
+                    both = A.intersect(B)
+                    assert both == _intersect_reference(A, B), (f, g, J)
+                    assert both == B.intersect(A)
+                    kinds.add((bool(both.isolated), bool(both.segments)))
+        assert kinds == {(False, False), (False, True), (True, False),
+                         (True, True)}
 
 
 class TestConjugate:

@@ -10,10 +10,12 @@ from icm import (FULL, Decomposition, Interval, PreconditionError,
                  interval, lap, make_plmap, orientation,
                  primary_critical_values, split_common_fixed,
                  strongly_commute, tent, verify_decomposition)
-from icm.decompose import _is_primary
+from icm.core import _interpolate
+from icm.decompose import (_has_invariant_prefix, _has_invariant_suffix,
+                           _is_primary, _running_max_vertices)
 from conftest import (block_swap_pair, double_reversal_pair,
-                      invariant_chain_pair, random_homeo, random_into_map,
-                      random_onto_map, wiggly_staircase_map)
+                      invariant_chain_pair, random_diagonal_map, random_homeo,
+                      random_into_map, random_onto_map, wiggly_staircase_map)
 
 F = Fraction
 
@@ -108,6 +110,50 @@ class TestOrientation:
     def test_pure_flip_not_preserving(self):
         flip = make_plmap([(0, 1), (1, 0)])
         assert orientation(flip) in ("reversing", "degenerate")
+
+
+def _nonpositive_somewhere_reference(verts):
+    """Whether the PL function with these (x, value) vertices is <= 0 at
+    some point of (0, 1): a scan of its vertices and its segments."""
+    for x, d in verts:
+        if 0 < x < 1 and d <= 0:
+            return True
+    for (x0, d0), (x1, d1) in zip(verts, verts[1:]):
+        if d0 <= 0 and d1 <= 0:
+            if 0 < (x0 + x1) / 2 < 1:
+                return True
+        elif min(d0, d1) < 0 < max(d0, d1):
+            if 0 < _interpolate(d0, x0, d1, x1, F(0)) < 1:
+                return True
+    return False
+
+
+def _prefix_reference(f):
+    return _nonpositive_somewhere_reference(
+        [(x, m - x) for x, m in _running_max_vertices(f)])
+
+
+class TestPrefixRule:
+    def test_interior_vertices_decide_as_the_segment_scan(self):
+        # The rule's precondition: onto, with two or more pieces.
+        rng = random.Random(154)
+        maps = [tent(n) for n in range(2, 7)] + [wiggly_staircase_map(),
+                                                 *invariant_chain_pair(),
+                                                 *block_swap_pair()]
+        for denom in (6, 7, 12):
+            maps += [random_onto_map(rng, denom=denom) for _ in range(60)]
+            maps += [random_diagonal_map(rng, denom=denom) for _ in range(200)]
+        maps = [f for f in maps if f.is_onto() and len(f.points) > 2]
+        outcomes = set()
+        for f in maps:
+            mirror = make_plmap([(1 - x, 1 - y) for x, y in reversed(f.points)])
+            expected = (_prefix_reference(f), _prefix_reference(mirror))
+            assert (_has_invariant_prefix(f), _has_invariant_suffix(f)) \
+                == expected, f
+            outcomes.add(expected)
+        assert len(maps) >= 250
+        assert outcomes == {(False, False), (False, True), (True, False),
+                            (True, True)}
 
 
 class TestSplit:

@@ -254,3 +254,11 @@ class TestSetValued:
     def test_requires_strong_commutation(self):
         with pytest.raises(PreconditionError):
             entropy_setvalued(tent(4), tent(6))
+
+    def test_lap_route_for_a_non_markov_map(self):
+        # Its breakpoint orbit escapes the 256-point bound; it strongly
+        # commutes with the identity, whose entropy is 0.
+        f = make_plmap([(0, 0), ("1/2", 1), (1, "1/3")])
+        assert markov_partition(f) is None
+        value = entropy_setvalued(f, identity_map(), k_max=8)
+        assert value == entropy_lap(f, 8).estimate == 0.5274384631470134
