@@ -280,6 +280,9 @@ class PLMap:
 
     points: tuple[Point, ...]
     _xs: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    # floor(x·2^64) per breakpoint, built by the first `_rank`
+    _keys: list[int] | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         pts = [(rat(x), rat(y)) for x, y in self.points]
@@ -331,23 +334,46 @@ class PLMap:
     def segments(self) -> Iterator[tuple[Point, Point]]:
         return zip(self.points, self.points[1:])
 
-    def _segment_right(self, x: Fraction) -> int:
-        """Index of the segment covering [x, x+eps)."""
-        i = bisect.bisect_right(self._xs, x) - 1
-        return min(max(i, 0), len(self.points) - 2)
+    def _rank(self, y: Fraction) -> tuple[int, bool]:
+        """(bisect_right(xs, y), whether y is a breakpoint), exactly and in
+        integers.
 
-    def _segment_left(self, x: Fraction) -> int:
-        """Index of the segment covering (x-eps, x]."""
-        i = bisect.bisect_left(self._xs, x) - 1
-        return min(max(i, 0), len(self.points) - 2)
+        y's key floor(y·2^64) places it by one `bisect` over the keys of the
+        breakpoints. A breakpoint with another key lies on the same side of
+        y as its key; those with y's own key are compared with y by one
+        integer cross product each, from the right, until one is at most y.
+        """
+        keys = self._keys
+        if keys is None:
+            keys = [(x.numerator << 64) // x.denominator for x in self._xs]
+            object.__setattr__(self, "_keys", keys)
+        p, q = y.numerator, y.denominator
+        key = (p << 64) // q
+        i = bisect.bisect_right(keys, key)
+        while i and keys[i - 1] == key:
+            x = self._xs[i - 1]
+            side = p * x.denominator - x.numerator * q  # the sign of y - x
+            if side >= 0:
+                return i, not side
+            i -= 1
+        return i, False
+
+    def _value(self, x: Fraction) -> Fraction:
+        """f(x) for a Fraction x in [0, 1], which is not checked."""
+        return self._value_ranked(x, *self._rank(x))
+
+    def _value_ranked(self, x: Fraction, i: int, hit: bool) -> Fraction:
+        """f(x) from (i, hit) = self._rank(x): the value stored at a hit,
+        else the piece between breakpoints i - 1 and i at x."""
+        if hit:
+            return self.points[i - 1][1]
+        return _interpolate(*self.points[i - 1], *self.points[i], x)
 
     def __call__(self, x) -> Fraction:
         x = rat(x)
         if not (ZERO <= x <= ONE):
             raise DomainError(f"argument {x} outside [0, 1]")
-        i = self._segment_right(x)
-        (x0, y0), (x1, y1) = self.points[i], self.points[i + 1]
-        return _interpolate(x0, y0, x1, y1, x)
+        return self._value(x)
 
     def critical_points(self) -> CriticalSet:
         entries = []
@@ -365,7 +391,7 @@ class PLMap:
     # -- images and preimages -----------------------------------------------
 
     def image(self, J: Interval) -> Interval:
-        values = [self(J.lo), self(J.hi)]
+        values = [self._value(J.lo), self._value(J.hi)]
         values += [y for x, y in self.points if J.lo < x < J.hi]
         return Interval(min(values), max(values))
 
@@ -409,18 +435,23 @@ class PLMap:
             raise DomainError(f"image {img} not contained in codomain {K}")
         for c, kind in self.critical_points():
             if J.lo < c < J.hi:
-                v = self(c)
+                v = self._value(c)
                 if kind == "max" and v != K.hi:
                     return False
                 if kind == "min" and v != K.lo:
                     return False
-        i = self._segment_right(J.lo)
+        # J is not degenerate, so J.lo < 1 and J.hi > 0 and both pieces
+        # exist with no clamp: the one on [J.lo, J.lo + eps) starts at the
+        # last breakpoint <= J.lo, the one on (J.hi - eps, J.hi] at the last
+        # breakpoint < J.hi.
+        i = self._rank(J.lo)[0] - 1
         first_up = self.points[i][1] < self.points[i + 1][1]
-        if self(J.lo) != (K.lo if first_up else K.hi):
+        if self._value(J.lo) != (K.lo if first_up else K.hi):
             return False
-        i = self._segment_left(J.hi)
+        i, hit = self._rank(J.hi)
+        i -= hit + 1
         last_up = self.points[i][1] < self.points[i + 1][1]
-        if self(J.hi) != (K.hi if last_up else K.lo):
+        if self._value(J.hi) != (K.hi if last_up else K.lo):
             return False
         return True
 
@@ -443,7 +474,7 @@ class PLMap:
             raise DomainError(f"{J} is not invariant, restriction does not self-map")
         w = J.length
         inner = [x for x in self._xs if J.lo < x < J.hi]
-        pts = [((x - J.lo) / w, (self(x) - J.lo) / w)
+        pts = [((x - J.lo) / w, (self._value(x) - J.lo) / w)
                for x in [J.lo, *inner, J.hi]]
         # An affine rescaling of canonical pieces, cut at J's ends: canonical.
         return PLMap._trusted(pts)
@@ -476,44 +507,50 @@ def tent(n: int) -> PLMap:
 def compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact composition f ∘ g, built canonical in one ordered walk along g.
 
-    Each piece (x0, y0) -> (x1, y1) of g gives its left end (x0, f(y0)),
-    then one point for every breakpoint b of f strictly between y0 and y1:
-    the x where the piece takes the value b, with value f(b). These b are a
-    run of f's breakpoints, read backwards on a falling piece, so the points
-    come out sorted; they are distinct, since a point inside a piece is no
-    breakpoint of g and a piece is injective. f is canonical, so inside a
-    piece of g the composite turns wherever f does: only an interior
-    breakpoint of g can be straight. Each is tested once, with the points
-    emitted either side of it, and the straight ones are left out.
+    Each vertex (x, y) of g is ranked among f's breakpoints once, which
+    gives f(y). Each piece (x0, y0) -> (x1, y1) of g gives its left end
+    (x0, f(y0)), then one point for every breakpoint b of f strictly
+    between y0 and y1: the x where the piece takes the value b, with value
+    f(b). These b are a run of f's breakpoints, read backwards on a falling
+    piece, so the points come out sorted; they are distinct, since a point
+    inside a piece is no breakpoint of g and a piece is injective. f is
+    canonical, so inside a piece of g the composite turns wherever f does:
+    only an interior breakpoint x of g can be straight, and only where g(x)
+    is a breakpoint of f. Elsewhere f is affine around g(x) with a slope
+    that is not zero, and g's slopes differ on the two sides of x, so the
+    composite's do too. Each such x is tested once, with the points emitted
+    either side of it, and the straight ones are left out.
 
     The breakpoint count comes from the run bounds alone and is checked
     against the cap before any breakpoint is built.
     """
-    fxs, fpts = f.xs, f.points
+    fpts = f.points
+    ranks = [f._rank(y) for _, y in g.points]
+    fracs = [(y.numerator, y.denominator) for _, y in g.points]
     runs = []
-    for (_, y0), (_, y1) in g.segments():
-        j0 = bisect.bisect_right(fxs, min(y0, y1))
-        j1 = bisect.bisect_left(fxs, max(y0, y1))
-        # The piece of f that holds y0, then the run.
-        runs.append((j0 - 1, range(j0, j1)) if y0 < y1
-                    else (j1 - 1, range(j1 - 1, j0 - 1, -1)))
-    count = len(g.points) + sum([len(run) for _, run in runs])
+    for (r0, hit0), (r1, hit1), (p0, q0), (p1, q1) in zip(
+            ranks, ranks[1:], fracs, fracs[1:]):
+        # f's breakpoints strictly between the ends: those above y0 and
+        # below y1 on a rising piece, the reverse on a falling one
+        runs.append(range(r0, r1 - hit1) if p0 * q1 < p1 * q0
+                    else range(r0 - hit0 - 1, r1 - 1, -1))
+    count = len(g.points) + sum([len(run) for run in runs])
     _check_cap(count, f"composition needs {count} breakpoints")
+    values = [f._value_ranked(y, *rank)
+              for (_, y), rank in zip(g.points, ranks)]
     out: list[Point] = []
     starts: list[int] = []  # where the pieces of g start in out
-    for ((x0, y0), (x1, y1)), (i, run) in zip(g.segments(), runs):
-        (u0, v0), (u1, v1) = fpts[i], fpts[i + 1]
+    for ((x0, y0), (x1, y1)), v0, run in zip(g.segments(), values, runs):
         starts.append(len(out))
-        out.append((x0, _interpolate(u0, v0, u1, v1, y0)))
+        out.append((x0, v0))
         for j in run:
             b, v = fpts[j]
             out.append((_interpolate(y0, x0, y1, x1, b), v))
-    x, y = g.points[-1]
-    out.append((x, f(y)))
+    out.append((g.points[-1][0], values[-1]))
     # A straight point left of k lies on the line through out[k - 1] and
     # out[k], so the test with the emitted neighbours is the merge test.
-    straight = {k for k in starts[1:]
-                if _straight(out[k - 1], out[k], out[k + 1])}
+    straight = {k for k, (_, hit) in zip(starts[1:], ranks[1:])
+                if hit and _straight(out[k - 1], out[k], out[k + 1])}
     if straight:
         out = [p for k, p in enumerate(out) if k not in straight]
     return PLMap._trusted(out)

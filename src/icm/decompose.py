@@ -311,10 +311,6 @@ class Decomposition:
     reverser: Optional[str]  # "f" or "g" in case b, None otherwise
     blocks: tuple[BlockInfo, ...]
 
-    @property
-    def intervals(self) -> tuple[Interval, ...]:
-        return tuple(_intervals_of(self.points))
-
     def as_dict(self) -> dict:
         return {
             "points": [str(p) for p in self.points],

@@ -62,14 +62,14 @@ def entropy_lap(f: PLMap, k_max: int) -> LapSequence:
     if k_max > 1:
         _check_cap(k_max, f"{k_max} rounds count at least {k_max} laps")
     crit = f.critical_points().xs
-    crit_values = [f(c) for c in crit]
+    crit_values = [f._value(c) for c in crit]
     images = {(ZERO, ONE): 1}  # the one lap of f^0, the identity
     laps = []
     for k in range(1, k_max + 1):
         cut: dict[tuple[Fraction, Fraction], int] = {}
         for (lo, hi), mult in images.items():
             i, j = bisect.bisect_right(crit, lo), bisect.bisect_left(crit, hi)
-            values = [f(lo), *crit_values[i:j], f(hi)]
+            values = [f._value(lo), *crit_values[i:j], f._value(hi)]
             for a, b in zip(values, values[1:]):
                 key = (a, b) if a < b else (b, a)
                 cut[key] = cut.get(key, 0) + mult
@@ -109,7 +109,7 @@ def markov_partition(f: PLMap, max_points: int = 256) -> MarkovData | None:
     # last round added can have images outside it
     frontier = pts
     while True:
-        frontier = {f(x) for x in frontier} - pts
+        frontier = {f._value(x) for x in frontier} - pts
         if not frontier:
             break
         pts |= frontier
@@ -121,7 +121,7 @@ def markov_partition(f: PLMap, max_points: int = 256) -> MarkovData | None:
     matrix = []
     for a, b in zip(partition, partition[1:]):
         # f(a), f(b) are partition points; the cells between them are covered
-        i, j = sorted((rank[f(a)], rank[f(b)]))
+        i, j = sorted((rank[f._value(a)], rank[f._value(b)]))
         matrix.append((0,) * i + (1,) * (j - i) + (0,) * (n - j))
     rho_lo, rho_hi = _perron_bracket(tuple(matrix))
     mid = (rho_lo + rho_hi) / 2

@@ -378,7 +378,6 @@ class Profile:
     chain_sums: tuple[int, ...]
     chain_holds: bool            # every chain sum >= 2
     count_bound_holds: bool      # total hats + endpoints <= n + 2
-    end_hat_bound_holds: bool    # with an end-hat, total <= n + 1
     parity_bound_holds: bool     # sum e + 2 sum h >= 2(n + 1)
 
 
@@ -420,7 +419,6 @@ def _profile_with_features(f: PLMap, g: PLMap) -> tuple[
         chain_sums=chain,
         chain_holds=all(s >= 2 for s in chain),
         count_bound_holds=total_h + total_e <= n + 2,
-        end_hat_bound_holds=(not has_end_hat) or (total_h + total_e <= n + 1),
         parity_bound_holds=sum(e) + 2 * sum(h) >= 2 * (n + 1),
     )
     return prof, hat_list, end_list

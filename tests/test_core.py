@@ -1,5 +1,6 @@
 """PL map construction, evaluation, composition, preimages, fixed points."""
 
+import bisect
 import importlib
 import random
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from icm import (DEFAULT_BREAKPOINT_CAP, FULL, DomainError, FixedSet,
                  Interval, PLMap, ResourceError, compose, conjugate,
                  identity_map, interval, iterate, make_plmap, rat, tent)
-from icm.core import _interpolate, invert_homeomorphism
+from icm.core import _interpolate, _straight, invert_homeomorphism
 from conftest import (conjugated_tent_pair, hat_demo_pair,
                       invariant_chain_pair, random_diagonal_map, random_homeo,
                       random_into_map, random_onto_map)
@@ -363,6 +364,221 @@ class TestLibraryBuiltMaps:
         assert len(mirrored) == 200
         for m in mirrored:
             _assert_canonical(m)
+
+
+# -- the exact rank ---------------------------------------------------------------
+# The Fraction-`bisect` search that `PLMap._rank` replaced, kept as the
+# reference for it: the segment lookups, `__call__`, `compose` (with its
+# merge test at every interior breakpoint of g) and `is_open_on`.
+
+def _segment_right_reference(f, x):
+    """Index of the segment covering [x, x+eps)."""
+    i = bisect.bisect_right(f.xs, x) - 1
+    return min(max(i, 0), len(f.points) - 2)
+
+
+def _segment_left_reference(f, x):
+    """Index of the segment covering (x-eps, x]."""
+    i = bisect.bisect_left(f.xs, x) - 1
+    return min(max(i, 0), len(f.points) - 2)
+
+
+def _call_reference(f, x):
+    x = rat(x)
+    if not (0 <= x <= 1):
+        raise DomainError(f"argument {x} outside [0, 1]")
+    i = _segment_right_reference(f, x)
+    (x0, y0), (x1, y1) = f.points[i], f.points[i + 1]
+    return _interpolate(x0, y0, x1, y1, x)
+
+
+def _compose_bisect_reference(f, g):
+    fxs, fpts = f.xs, f.points
+    runs = []
+    for (_, y0), (_, y1) in g.segments():
+        j0 = bisect.bisect_right(fxs, min(y0, y1))
+        j1 = bisect.bisect_left(fxs, max(y0, y1))
+        runs.append((j0 - 1, range(j0, j1)) if y0 < y1
+                    else (j1 - 1, range(j1 - 1, j0 - 1, -1)))
+    out, starts = [], []
+    for ((x0, y0), (x1, y1)), (i, run) in zip(g.segments(), runs):
+        (u0, v0), (u1, v1) = fpts[i], fpts[i + 1]
+        starts.append(len(out))
+        out.append((x0, _interpolate(u0, v0, u1, v1, y0)))
+        for j in run:
+            b, v = fpts[j]
+            out.append((_interpolate(y0, x0, y1, x1, b), v))
+    x, y = g.points[-1]
+    out.append((x, _call_reference(f, y)))
+    straight = {k for k in starts[1:]
+                if _straight(out[k - 1], out[k], out[k + 1])}
+    return [p for k, p in enumerate(out) if k not in straight]
+
+
+def _is_open_on_reference(f, J, K):
+    for c, kind in f.critical_points():
+        if J.lo < c < J.hi:
+            v = _call_reference(f, c)
+            if v != (K.hi if kind == "max" else K.lo):
+                return False
+    i = _segment_right_reference(f, J.lo)
+    first_up = f.points[i][1] < f.points[i + 1][1]
+    if _call_reference(f, J.lo) != (K.lo if first_up else K.hi):
+        return False
+    i = _segment_left_reference(f, J.hi)
+    last_up = f.points[i][1] < f.points[i + 1][1]
+    return _call_reference(f, J.hi) == (K.hi if last_up else K.lo)
+
+
+TINY = F(1, 2**70)  # 64 times closer than the keys resolve
+DYADIC = F(2**62 + 5, 2**64)  # a breakpoint whose key is exact
+
+
+def _clustered_maps():
+    """Maps with runs of breakpoints closer than 2^-64: four sharing one
+    key at 1/3, and three across the key boundary at DYADIC."""
+    third = F(1, 3)
+    near = [third + k * TINY for k in range(4)]
+    edge = [DYADIC - TINY, DYADIC, DYADIC + TINY]
+    maps = []
+    for run, lo, hi in ((near, F(1, 5), F(1, 2)), (edge, F(1, 8), F(1, 2))):
+        for ys in ([0, *(F(k + 1, 7) for k in range(len(run))), 1],
+                   [1, *(F(1 - k % 2, 2) + F(k, 9) for k in range(len(run))),
+                    0]):
+            maps.append(PLMap(tuple(zip([F(0), *run, F(1)], map(F, ys)))))
+        maps.append(PLMap(((F(0), F(0)), (lo, run[0]), (hi, run[-1]),
+                           (F(1), F(1)))))
+    # values at the clustered breakpoints, between them and around them
+    values = [*near, *edge, third + TINY / 2, third + 5 * TINY / 2,
+              DYADIC - TINY / 3, DYADIC + TINY / 2, third - TINY,
+              third + 9 * TINY]
+    for k in range(0, len(values) - 2, 3):
+        ys = [F(0), values[k], values[k + 2], values[k + 1], F(1), values[k]]
+        maps.append(PLMap(tuple((F(i, 5), y) for i, y in enumerate(ys))))
+    return maps, values
+
+
+def _rank_corpus(rng):
+    maps = [tent(n) for n in range(2, 10)] + [identity_map()]
+    for denom in (6, 7, 12, 17):
+        maps += [random_onto_map(rng, denom=denom) for _ in range(6)]
+        maps += [random_into_map(rng, denom=denom) for _ in range(6)]
+        maps += [random_diagonal_map(rng, denom=denom) for _ in range(6)]
+    clustered, values = _clustered_maps()
+    return maps + clustered, clustered, values
+
+
+def _probes(f, extra):
+    """0, 1, each breakpoint and its neighbours 2^-70 away, the midpoints
+    between breakpoints, a grid and the extra points, all within [0, 1]."""
+    xs = f.xs
+    pts = {F(k, 60) for k in range(61)} | set(extra) | set(xs)
+    pts |= {x + d for x in xs for d in (TINY, -TINY)}
+    pts |= {(a + b) / 2 for a, b in zip(xs, xs[1:])}
+    return sorted(p for p in pts if 0 <= p <= 1)
+
+
+class TestRank:
+    def test_rank_and_value_match_fraction_bisect(self):
+        maps, _, values = _rank_corpus(random.Random(1616))
+        hits = near = 0
+        for f in maps:
+            assert f._keys is None
+            for y in _probes(f, values):
+                expected = (bisect.bisect_right(f.xs, y), y in f.xs)
+                assert f._rank(y) == expected, (f, y)
+                v = f(y)
+                assert v == _call_reference(f, y) and type(v) is F
+                assert f._value(y) == v
+                hits += expected[1]
+                near += any(0 < abs(x - y) < F(1, 2**64) for x in f.xs)
+            assert len(f._keys) == len(f.points)
+        assert hits > 400 and near > 700
+        for bad in (F(-1, 2**70), 1 + TINY):
+            with pytest.raises(DomainError):
+                maps[0](bad)
+
+    def test_compose_and_iterate_match_bisect_reference(self):
+        rng = random.Random(1617)
+        maps, clustered, _ = _rank_corpus(rng)
+        pairs = [(rng.choice(maps), rng.choice(maps)) for _ in range(800)]
+        pairs += [(f, g) for f in clustered for g in clustered]
+        for f, g in pairs:
+            fg = compose(f, g)
+            assert list(fg.points) == _compose_bisect_reference(f, g)
+            assert all(type(v) is F for p in fg.points for v in p)
+        for f in maps[::3]:
+            fk = f
+            for _ in range(2):
+                fk = PLMap._trusted(_compose_bisect_reference(f, fk))
+            assert iterate(f, 3).points == fk.points
+
+    def test_is_open_on_matches_bisect_reference(self):
+        maps, _, values = _rank_corpus(random.Random(1618))
+        ends = sorted({F(k, 12) for k in range(13)} | set(values))
+        opens = 0
+        for f in maps:
+            for a, b in zip(ends, ends[3:]):
+                J = Interval(a, b)
+                for K in (f.image(J), FULL):
+                    result = f.is_open_on(J, K)
+                    assert result == _is_open_on_reference(f, J, K)
+                    opens += result
+        assert 1500 < opens < 2500  # of 4004
+
+    def test_keys_are_built_once_and_only_for_the_left_operand(self):
+        f, g = tent(3), random_onto_map(random.Random(5))
+        fg = compose(f, g)
+        assert g._keys is None and fg._keys is None
+        keys = f._keys
+        assert keys == [(x.numerator << 64) // x.denominator for x in f.xs]
+        compose(f, fg)
+        f(F(1, 7))
+        assert f._keys is keys
+
+
+class TestComposeMergeAtHits:
+    """Only where g's vertex value is a breakpoint of f can the composite
+    be straight; there the merge test runs and decides."""
+
+    def test_inverse_after_homeomorphism_is_the_two_point_identity(self):
+        rng = random.Random(1619)
+        for i in range(100):
+            h = random_homeo(rng, max_interior=4, decreasing=i % 2 == 1)
+            h_inv = invert_homeomorphism(h)
+            # every interior vertex value of h is a breakpoint of h⁻¹
+            assert all(h_inv._rank(y)[1] for _, y in h.points)
+            assert compose(h_inv, h).points == ((F(0), F(0)), (F(1), F(1)))
+
+    def test_conjugation_round_trip(self):
+        rng = random.Random(1620)
+        for _ in range(60):
+            f = random_onto_map(rng, denom=rng.choice((6, 12)))
+            h = random_homeo(rng, max_interior=4, decreasing=rng.random() < 0.5)
+            there = conjugate(f, h)
+            back = conjugate(there, invert_homeomorphism(h))
+            assert back.points == f.points
+
+    def test_hit_that_cancels_is_merged(self):
+        # kink has slopes 1/2, 3/2 either side of 1/2 and g slopes 1, 1/3:
+        # both sides of g's vertex at 1/2 have slope 1/2 in the composite
+        kink = make_plmap([(0, 0), ("1/2", "1/4"), (1, 1)])
+        g = make_plmap([(0, 0), ("1/2", "1/2"), (1, "2/3")])
+        assert kink._rank(F(1, 2)) == (2, True)
+        assert compose(kink, g).points == ((F(0), F(0)), (F(1), F(1, 2)))
+
+    def test_hit_that_is_a_turn_is_kept(self):
+        # g(1/2) = 1/2 is a breakpoint of f in each case: the tent turns
+        # there, and the kink bends with slopes that do not cancel h's
+        g = make_plmap([(0, 0), ("1/2", "1/2"), (1, "3/4")])
+        assert tent(2)._rank(F(1, 2)) == (2, True)
+        assert compose(tent(2), g).points == (
+            (F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1, 2)))
+        kink = make_plmap([(0, 0), ("1/2", "1/4"), (1, 1)])
+        h = make_plmap([(0, 0), ("1/2", "1/2"), ("3/4", "5/8"), (1, 1)])
+        assert compose(kink, h).points == (
+            (F(0), F(0)), (F(1, 2), F(1, 4)), (F(3, 4), F(7, 16)),
+            (F(1), F(1)))
 
 
 class TestInterpolate:
