@@ -36,8 +36,6 @@ def parse_map_file(path: str) -> PLMap:
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        if text and not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         try:
             with open(out, "w", encoding="utf-8") as handle:
@@ -219,11 +217,7 @@ def _format_entropy(f: PLMap, method: str, iters: int) -> str:
         data = ent.markov_partition(f)
         if data is not None:
             value = ent.entropy_markov(data)
-            rho = data.spectral_radius
-            nearest = round(rho)
-            if nearest >= 1 and abs(rho - nearest) <= data.radius_error + 1e-9:
-                return f"log {nearest} ~= {value:.12g}"
-            return f"log {rho:.12g} ~= {value:.12g}"
+            return f"log {data.spectral_radius:.12g} ~= {value:.12g}"
         if method == "markov":
             raise PreconditionError(
                 "map is not Markov within the configured bound")

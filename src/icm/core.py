@@ -227,6 +227,17 @@ def _straight(p: Point, q: Point, r: Point) -> bool:
         (y1 - y0) * (r[0] - x1) == (r[1] - y1) * (x1 - x0)
 
 
+def _turns(vertices: Sequence[Point]) -> Iterator[tuple[Fraction, Fraction, str]]:
+    """The interior vertices above or below both neighbours, in order, as
+    (x, value, 'max' | 'min')."""
+    for (_, before), (x, y), (_, after) in zip(
+            vertices, vertices[1:], vertices[2:]):
+        if before < y > after:
+            yield x, y, "max"
+        elif before > y < after:
+            yield x, y, "min"
+
+
 # A region piece is an x-interval with endpoint-inclusion flags, used to
 # represent preimages of open value bands exactly.
 _Piece = tuple[Fraction, Fraction, bool, bool]
@@ -375,15 +386,20 @@ class PLMap:
             raise DomainError(f"argument {x} outside [0, 1]")
         return self._value(x)
 
+    def _window(self, J: Interval) -> list[Point]:
+        """f on J as vertices of its own: (J.lo, f(J.lo)), the breakpoints
+        strictly inside J, (J.hi, f(J.hi)). J.lo and J.hi lie on the pieces
+        of f next to the first and last of these breakpoints, so the window
+        turns and rises exactly where f does on J."""
+        i, hit_i = self._rank(J.lo)
+        j, hit_j = self._rank(J.hi)
+        return [(J.lo, self._value_ranked(J.lo, i, hit_i)),
+                *self.points[i:j - hit_j],
+                (J.hi, self._value_ranked(J.hi, j, hit_j))]
+
     def critical_points(self) -> CriticalSet:
-        entries = []
-        for (_, before), (x, y), (_, after) in zip(
-                self.points, self.points[1:], self.points[2:]):
-            if before < y > after:
-                entries.append((x, "max"))
-            elif before > y < after:
-                entries.append((x, "min"))
-        return CriticalSet(tuple(entries))
+        return CriticalSet(tuple([(x, kind)
+                                  for x, _, kind in _turns(self.points)]))
 
     def is_onto(self) -> bool:
         return self.image(FULL) == FULL
@@ -391,19 +407,16 @@ class PLMap:
     # -- images and preimages -----------------------------------------------
 
     def image(self, J: Interval) -> Interval:
-        values = [self._value(J.lo), self._value(J.hi)]
-        values += [y for x, y in self.points if J.lo < x < J.hi]
+        values = [y for _, y in self._window(J)]
         return Interval(min(values), max(values))
 
     def preimage_point(self, y) -> list[Fraction]:
+        """The sorted solutions of f(x) = y: a closed band of width zero."""
         y = rat(y)
         if not (ZERO <= y <= ONE):
             raise DomainError(f"value {y} outside [0, 1]")
-        found: set[Fraction] = set()
-        for (x0, y0), (x1, y1) in self.segments():
-            if min(y0, y1) <= y <= max(y0, y1):
-                found.add(_interpolate(y0, x0, y1, x1, y))
-        return sorted(found)
+        return [a for a, _, _, _ in
+                _level_pieces(self.points, y, y, strict=False)]
 
     def preimage_interval(self, J: Interval) -> list[Interval]:
         pieces = _level_pieces(self.points, J.lo, J.hi, strict=False)
@@ -418,7 +431,7 @@ class PLMap:
     def is_monotone_on(self, J: Interval) -> bool:
         if J.degenerate:
             raise DomainError("monotonicity is undefined on a degenerate interval")
-        return not any(J.lo < c < J.hi for c, _ in self.critical_points())
+        return next(_turns(self._window(J)), None) is None
 
     def is_open_on(self, J: Interval, K: Interval) -> bool:
         """Decide whether the restriction f|J : J -> K is an open map.
@@ -433,27 +446,14 @@ class PLMap:
         img = self.image(J)
         if not K.contains_interval(img):
             raise DomainError(f"image {img} not contained in codomain {K}")
-        for c, kind in self.critical_points():
-            if J.lo < c < J.hi:
-                v = self._value(c)
-                if kind == "max" and v != K.hi:
-                    return False
-                if kind == "min" and v != K.lo:
-                    return False
-        # J is not degenerate, so J.lo < 1 and J.hi > 0 and both pieces
-        # exist with no clamp: the one on [J.lo, J.lo + eps) starts at the
-        # last breakpoint <= J.lo, the one on (J.hi - eps, J.hi] at the last
-        # breakpoint < J.hi.
-        i = self._rank(J.lo)[0] - 1
-        first_up = self.points[i][1] < self.points[i + 1][1]
-        if self._value(J.lo) != (K.lo if first_up else K.hi):
+        window = self._window(J)
+        if any(v != (K.hi if kind == "max" else K.lo)
+               for _, v, kind in _turns(window)):
             return False
-        i, hit = self._rank(J.hi)
-        i -= hit + 1
-        last_up = self.points[i][1] < self.points[i + 1][1]
-        if self._value(J.hi) != (K.hi if last_up else K.lo):
-            return False
-        return True
+        (_, first), (_, second) = window[:2]
+        (_, before), (_, last) = window[-2:]
+        return (first == (K.lo if first < second else K.hi)
+                and last == (K.hi if before < last else K.lo))
 
     # -- fixed points ---------------------------------------------------------
 
@@ -473,9 +473,7 @@ class PLMap:
         if not J.contains_interval(self.image(J)):
             raise DomainError(f"{J} is not invariant, restriction does not self-map")
         w = J.length
-        inner = [x for x in self._xs if J.lo < x < J.hi]
-        pts = [((x - J.lo) / w, (self._value(x) - J.lo) / w)
-               for x in [J.lo, *inner, J.hi]]
+        pts = [((x - J.lo) / w, (y - J.lo) / w) for x, y in self._window(J)]
         # An affine rescaling of canonical pieces, cut at J's ends: canonical.
         return PLMap._trusted(pts)
 

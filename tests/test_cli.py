@@ -110,6 +110,25 @@ class TestCli:
         from icm.cli import emit_graph
         assert emit_graph(SegmentSet(()), "csv") == "x1,y1,x2,y2\n"
 
+    def test_isolated_point_graph(self, tmp_path, capsys):
+        # f <= 1/2 <= g, and both equal 1/2 only at 1/2: the pullback graph
+        # is the single point (1/2, 1/2)
+        from icm import DomainError, SegmentSet
+        from icm.cli import emit_graph
+        f, g = tmp_path / "peak.pwl", tmp_path / "valley.pwl"
+        f.write_text("0 0\n1/2 1/2\n1 0\n")
+        g.write_text("0 1\n1/2 1/2\n1 1\n")
+        code, out, _ = run_cli(["graph", f, g, "--kind", "pullback"], capsys)
+        assert (code, out) == (0, "x1,y1,x2,y2\n1/2,1/2,1/2,1/2\n")
+        code, out, _ = run_cli(
+            ["graph", f, g, "--kind", "pullback", "--format", "svg"], capsys)
+        assert code == 0 and out.count("<circle") == 1
+        ET.fromstring(out)
+        code, out, _ = run_cli(["strong-commute", f, g], capsys)
+        assert (code, out) == (1, "false\n")
+        with pytest.raises(DomainError):
+            emit_graph(SegmentSet(()), "png")
+
     def test_graph_csv_row_count(self, maps_dir, capsys):
         code, out, _ = run_cli(
             ["graph", maps_dir / "T3.pwl", maps_dir / "T4.pwl"], capsys)
@@ -207,6 +226,15 @@ class TestCli:
         path.write_text("0 1/2\n1/2 1\n1 0\n")
         code, out, _ = run_cli(["entropy", path], capsys)
         assert (code, out) == (0, "log 1.61803398875 ~= 0.48121182506\n")
+
+    def test_markov_entropy_label_is_the_root_as_printed(
+            self, maps_dir, capsys, monkeypatch):
+        # a certified root of 2 + 10^-10 is no integer, and prints as itself
+        from icm import entropy
+        data = entropy.MarkovData((F(0), F(1)), ((2,),), 2 + 1e-10, 1e-13)
+        monkeypatch.setattr(entropy, "markov_partition", lambda f: data)
+        code, out, _ = run_cli(["entropy", maps_dir / "T2.pwl"], capsys)
+        assert (code, out) == (0, "log 2.0000000001 ~= 0.69314718061\n")
 
     def test_markov_method_on_a_non_markov_map_exit_3(self, tmp_path, capsys):
         path = tmp_path / "nm.pwl"

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from icm import (DEFAULT_BREAKPOINT_CAP, FULL, DomainError, FixedSet,
                  Interval, PLMap, ResourceError, compose, conjugate,
                  identity_map, interval, iterate, make_plmap, rat, tent)
-from icm.core import _interpolate, _straight, invert_homeomorphism
+from icm.core import (CriticalSet, _interpolate, _straight, _turns,
+                      invert_homeomorphism)
 from conftest import (conjugated_tent_pair, hat_demo_pair,
                       invariant_chain_pair, random_diagonal_map, random_homeo,
                       random_into_map, random_onto_map)
@@ -897,6 +898,181 @@ class TestBandWalk:
                     kinds.add((bool(both.isolated), bool(both.segments)))
         assert kinds == {(False, False), (False, True), (True, False),
                          (True, True)}
+
+
+# -- references for the window: the reads of f on an interval it replaced -------
+# A scan of every breakpoint for the image and the restriction (with one
+# evaluation per inner breakpoint), the critical points rebuilt for
+# monotonicity and openness with rank arithmetic for the end pieces, and a
+# set and a sort for the preimage of a point.
+
+def _critical_points_reference(f):
+    entries = []
+    for (_, before), (x, y), (_, after) in zip(
+            f.points, f.points[1:], f.points[2:]):
+        if before < y > after:
+            entries.append((x, "max"))
+        elif before > y < after:
+            entries.append((x, "min"))
+    return CriticalSet(tuple(entries))
+
+
+def _image_reference(f, J):
+    values = [f._value(J.lo), f._value(J.hi)]
+    values += [y for x, y in f.points if J.lo < x < J.hi]
+    return Interval(min(values), max(values))
+
+
+def _preimage_point_reference(f, y):
+    y = rat(y)
+    if not (0 <= y <= 1):
+        raise DomainError(f"value {y} outside [0, 1]")
+    found = set()
+    for (x0, y0), (x1, y1) in f.segments():
+        if min(y0, y1) <= y <= max(y0, y1):
+            found.add(_interpolate(y0, x0, y1, x1, y))
+    return sorted(found)
+
+
+def _is_monotone_on_reference(f, J):
+    if J.degenerate:
+        raise DomainError("monotonicity is undefined on a degenerate interval")
+    return not any(J.lo < c < J.hi for c, _ in _critical_points_reference(f))
+
+
+def _is_open_on_rank_reference(f, J, K):
+    if J.degenerate:
+        raise DomainError("openness is undefined on a degenerate interval")
+    img = _image_reference(f, J)
+    if not K.contains_interval(img):
+        raise DomainError(f"image {img} not contained in codomain {K}")
+    for c, kind in _critical_points_reference(f):
+        if J.lo < c < J.hi:
+            v = f._value(c)
+            if kind == "max" and v != K.hi:
+                return False
+            if kind == "min" and v != K.lo:
+                return False
+    i = f._rank(J.lo)[0] - 1
+    first_up = f.points[i][1] < f.points[i + 1][1]
+    if f._value(J.lo) != (K.lo if first_up else K.hi):
+        return False
+    i, hit = f._rank(J.hi)
+    i -= hit + 1
+    last_up = f.points[i][1] < f.points[i + 1][1]
+    return f._value(J.hi) == (K.hi if last_up else K.lo)
+
+
+def _restrict_to_unit_reference(f, J):
+    if J.degenerate:
+        raise DomainError("cannot rescale a degenerate interval")
+    if not J.contains_interval(_image_reference(f, J)):
+        raise DomainError(f"{J} is not invariant, restriction does not self-map")
+    w = J.length
+    inner = [x for x in f.xs if J.lo < x < J.hi]
+    return tuple(((x - J.lo) / w, (f._value(x) - J.lo) / w)
+                 for x in [J.lo, *inner, J.hi])
+
+
+def _result(fn, *args):
+    """What fn returns, or the type of the DomainError it raises."""
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+def _window_corpus(rng):
+    maps = [tent(n) for n in range(2, 8)] + [identity_map(),
+                                             *invariant_chain_pair()]
+    for denom in (6, 7, 12, 17):
+        maps += [random_onto_map(rng, denom=denom) for _ in range(4)]
+        maps += [random_into_map(rng, denom=denom) for _ in range(4)]
+        maps += [random_diagonal_map(rng, denom=denom) for _ in range(4)]
+    return maps
+
+
+def _window_ends(f):
+    """0, 1, each breakpoint, its neighbours 2^-70 away and the midpoints."""
+    xs = f.xs
+    pts = set(xs) | {x + d for x in xs for d in (TINY, -TINY)}
+    pts |= {(a + b) / 2 for a, b in zip(xs, xs[1:])}
+    return sorted(p for p in pts if 0 <= p <= 1)
+
+
+class TestWindow:
+    """`PLMap._window` and `_turns` against the reads they replaced."""
+
+    def test_image_monotone_and_critical_points(self):
+        monotone = 0
+        for f in _window_corpus(random.Random(181)):
+            assert f.critical_points() == _critical_points_reference(f)
+            ends = _window_ends(f)
+            for i, a in enumerate(ends):
+                assert f.image(Interval(a, a)) == Interval(f(a), f(a))
+                for b in ends[i:]:
+                    J = Interval(a, b)
+                    img = f.image(J)
+                    assert img == _image_reference(f, J), (f, J)
+                    assert type(img.lo) is F and type(img.hi) is F
+                    mono = _result(f.is_monotone_on, J)
+                    assert mono == _result(_is_monotone_on_reference, f, J)
+                    monotone += mono is True
+        assert monotone > 2000
+
+    def test_is_open_on_matches_rank_reference(self):
+        counts = {True: 0, False: 0, DomainError: 0}
+        for f in _window_corpus(random.Random(182)):
+            ends = _window_ends(f)
+            for i, a in enumerate(ends):
+                for b in ends[i::2]:
+                    J = Interval(a, b)
+                    img = f.image(J)
+                    mid = (img.lo + img.hi) / 2
+                    for K in (J, img, Interval(img.lo / 2, (img.hi + 1) / 2),
+                              Interval(img.lo, mid)):
+                        result = _result(f.is_open_on, J, K)
+                        expected = _result(_is_open_on_rank_reference, f, J, K)
+                        assert result == expected, (f, J, K)
+                        counts[result] += 1
+        assert min(counts.values()) > 1000, counts
+
+    def test_restrict_to_unit_matches_scan(self):
+        restricted = 0
+        for f in _window_corpus(random.Random(183)):
+            ends = _window_ends(f)
+            for i, a in enumerate(ends):
+                for b in ends[i:]:
+                    J = Interval(a, b)
+                    expected = _result(_restrict_to_unit_reference, f, J)
+                    if expected is DomainError:
+                        with pytest.raises(DomainError):
+                            f.restrict_to_unit(J)
+                        continue
+                    m = f.restrict_to_unit(J)
+                    assert m.points == expected, (f, J)
+                    _assert_canonical(m)
+                    restricted += 1
+        assert restricted > 200
+
+    def test_preimage_point_matches_set_and_sort(self):
+        for f in _window_corpus(random.Random(184)):
+            ys = {y for _, y in f.points} | {F(k, 24) for k in range(25)}
+            ys |= {y + d for y in list(ys) for d in (TINY, -TINY)}
+            for y in sorted(y for y in ys if 0 <= y <= 1):
+                pre = f.preimage_point(y)
+                assert pre == _preimage_point_reference(f, y), (f, y)
+                assert all(type(x) is F for x in pre)
+            for bad in (-TINY, 1 + TINY):
+                with pytest.raises(DomainError):
+                    f.preimage_point(bad)
+
+    def test_turns_are_strict(self):
+        # a vertex level with a neighbour is no turn
+        v = [(F(k), F(y)) for k, y in enumerate([0, 2, 2, 1, 1, 3])]
+        assert list(_turns(v)) == []
+        v = [(F(k), F(y)) for k, y in enumerate([0, 2, 1, 3])]
+        assert list(_turns(v)) == [(F(1), F(2), "max"), (F(2), F(1), "min")]
 
 
 class TestConjugate:
