@@ -85,17 +85,21 @@ class Segment:
 
 
 def _segment(a: Point, b: Point) -> Segment:
-    """A Segment from two points of Fractions the library has built: the
-    endpoints are ordered, not coerced. User input goes through Segment.
+    """A Segment from two points of Fractions the library has built, passed
+    in lexicographic order: nothing is coerced or compared. User input goes
+    through Segment.
 
     The fields are written to the instance dict, as the frozen dataclass's
     own ``object.__setattr__`` would, at two fewer calls per segment.
     """
     s = object.__new__(Segment)
-    if b < a:
-        a, b = b, a
     s.__dict__.update(a=a, b=b)
     return s
+
+
+def _ordered(a: Point, b: Point) -> Segment:
+    """The library-built segment between two points in either order."""
+    return _segment(a, b) if a < b else _segment(b, a)
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,7 @@ class SegmentSet:
         return all(self.covers_segment(s, keyed) for s in other.segments)
 
     def reflected(self) -> "SegmentSet":
-        return segment_set(_segment((s.a[1], s.a[0]), (s.b[1], s.b[0]))
+        return segment_set(_ordered((s.a[1], s.a[0]), (s.b[1], s.b[0]))
                            for s in self.segments)
 
 
@@ -187,6 +191,8 @@ _ends = attrgetter("a", "b")
 
 def segment_set(raw: Iterable[Segment]) -> SegmentSet:
     """Canonicalize: merge touching collinear segments, drop covered points.
+    Only user input brings covered points: `pullback_graph` emits none,
+    and the mirror image of a canonical set has none.
 
     The result depends only on the point set X that the input covers, so two
     canonical sets are equal as sets exactly when they are equal as tuples.
@@ -204,12 +210,14 @@ def segment_set(raw: Iterable[Segment]) -> SegmentSet:
         else:
             proper.setdefault(s.line_key(), []).append(s)
     merged: list[Segment] = []
-    for group in proper.values():
-        group.sort(key=_ends)
+    for (_, B, _), group in proper.items():
+        # one coordinate orders a line's points: y on a vertical line, else x
+        c = 0 if B else 1
+        group.sort(key=lambda s: s.a[c])
         cur = group[0]
         for nxt in group[1:]:
-            if nxt.a <= cur.b:
-                if nxt.b > cur.b:
+            if nxt.a[c] <= cur.b[c]:
+                if nxt.b[c] > cur.b[c]:
                     cur = _segment(cur.a, nxt.b)
             else:
                 merged.append(cur)
@@ -259,7 +267,21 @@ def forward_polyline(f: PLMap, g: PLMap) -> list[tuple[Fraction, Point]]:
 def forward_graph(f: PLMap, g: PLMap) -> SegmentSet:
     """Graph of the set-valued map f∘g⁻¹ as the polyline {(g(t), f(t))}."""
     vertices = [p for _, p in forward_polyline(f, g)]
-    return segment_set(_segment(a, b) for a, b in zip(vertices, vertices[1:]))
+    return segment_set(_ordered(a, b) for a, b in zip(vertices, vertices[1:]))
+
+
+def _value_pieces(m: PLMap) -> list[tuple]:
+    """m's pieces as (lo, x_lo, hi, x_hi, rises, stop_lo, stop_hi): the end
+    values in increasing order with their abscissas, whether the piece
+    rises, and whether each end is a stop of m. A stop is 0, 1 or a turn: a
+    breakpoint where every piece of m leaves the value the same way."""
+    pts = m.points
+    rises = [y0 < y1 for (_, y0), (_, y1) in zip(pts, pts[1:])]
+    stops = [True, *[r != s for r, s in zip(rises, rises[1:])], True]
+    return [(y0, x0, y1, x1, True, stops[i], stops[i + 1]) if r
+            else (y1, x1, y0, x0, False, stops[i + 1], stops[i])
+            for i, (r, (x0, y0), (x1, y1))
+            in enumerate(zip(rises, pts, pts[1:]))]
 
 
 def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
@@ -268,31 +290,44 @@ def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
     On a piece of f times a piece of g both maps are linear and strictly
     monotone, so the zero set there is {(f⁻¹(w), g⁻¹(w))} for w in the common
     value range [lo, hi] of the two pieces, lo the larger of their minima
-    and hi the smaller of their maxima. When lo <= hi it is the segment from
-    (f⁻¹(lo), g⁻¹(lo)) to (f⁻¹(hi), g⁻¹(hi)), an isolated point when
-    lo == hi; otherwise it is empty.
+    and hi the smaller of their maxima. When lo < hi it is the segment from
+    (f⁻¹(lo), g⁻¹(lo)) to (f⁻¹(hi), g⁻¹(hi)), whose ends come in
+    lexicographic order when f's piece rises and in reverse when it falls.
+
+    When lo == hi = w the ranges touch, at an end x of f's piece and an end
+    u of g's piece, which leave w one upward and one downward. Every cell
+    through (x, u) pairs a piece of f at x with a piece of g at u and ends
+    at (x, u), so the point lies on a segment exactly when two such pieces
+    leave w the same way. At a breakpoint that is no stop the two pieces
+    leave it opposite ways, so the point is isolated, and is emitted,
+    exactly when x is a stop of f and u a stop of g.
 
     Its (|f| - 1)(|g| - 1) cells are checked against the cap first.
     """
     cells = (len(f.points) - 1) * (len(g.points) - 1)
     _check_cap(cells, f"pullback graph needs {cells} cells")
-    g_pieces = [(v0, u0, v1, u1) if v0 < v1 else (v1, u1, v0, u0)
-                for (u0, v0), (u1, v1) in g.segments()]
+    g_pieces = _value_pieces(g)
     pieces: list[Segment] = []
-    for (x0, y0), (x1, y1) in f.segments():
-        f_lo, xa, f_hi, xb = (y0, x0, y1, x1) if y0 < y1 else (y1, x1, y0, x0)
-        for g_lo, ua, g_hi, ub in g_pieces:
+    for f_lo, xa, f_hi, xb, rises, f_stop_a, f_stop_b in _value_pieces(f):
+        for g_lo, ua, g_hi, ub, _, g_stop_a, g_stop_b in g_pieces:
             # lo and hi are each an end of the piece that the comparison
             # picks; only the other piece is interpolated.
             lo_on_f, hi_on_f = f_lo >= g_lo, f_hi <= g_hi
             lo = f_lo if lo_on_f else g_lo
             hi = f_hi if hi_on_f else g_hi
-            if lo <= hi:
-                pieces.append(_segment(
-                    (xa, _interpolate(g_lo, ua, g_hi, ub, lo)) if lo_on_f
-                    else (_interpolate(f_lo, xa, f_hi, xb, lo), ua),
-                    (xb, _interpolate(g_lo, ua, g_hi, ub, hi)) if hi_on_f
-                    else (_interpolate(f_lo, xa, f_hi, xb, hi), ub)))
+            if lo < hi:
+                p = ((xa, _interpolate(g_lo, ua, g_hi, ub, lo)) if lo_on_f
+                     else (_interpolate(f_lo, xa, f_hi, xb, lo), ua))
+                q = ((xb, _interpolate(g_lo, ua, g_hi, ub, hi)) if hi_on_f
+                     else (_interpolate(f_lo, xa, f_hi, xb, hi), ub))
+                pieces.append(_segment(p, q) if rises else _segment(q, p))
+            elif lo == hi:
+                # f's minimum is g's maximum, or f's maximum is g's minimum
+                if lo_on_f:
+                    if f_stop_a and g_stop_b:
+                        pieces.append(_segment((xa, ub), (xa, ub)))
+                elif f_stop_b and g_stop_a:
+                    pieces.append(_segment((xb, ua), (xb, ua)))
     return segment_set(pieces)
 
 
@@ -460,7 +495,7 @@ def parametrization_coincidences(f: PLMap, g: PLMap):
     n = len(vertices) - 1
     pairs = n * (n - 1) // 2
     _check_cap(pairs, f"coincidences need {pairs} segment pairs")
-    pieces = [_segment(a, b) for a, b in zip(vertices, vertices[1:])]
+    pieces = [_ordered(a, b) for a, b in zip(vertices, vertices[1:])]
     keys = [s.line_key() for s in pieces]
     points: set[Point] = set()
     overlaps: list[tuple[Point, Point]] = []

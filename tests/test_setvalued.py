@@ -8,15 +8,17 @@ from fractions import Fraction
 import pytest
 
 from icm import (PLMap, PreconditionError, ResourceError, Segment, commute,
-                 compose, endpoints, forward_graph, forward_polyline,
+                 compose, conjugate, endpoints, forward_graph, forward_polyline,
                  graphs_equal, hats, identity_map, make_plmap, profile,
                  pullback_graph, sample_pullback, segment_set,
                  strongly_commute, tent, verify_strong_consequences)
+from icm.core import _interpolate
 from icm.setvalued import (_segment_pair_intersection,
                            parametrization_coincidences)
 from conftest import (alternating_map, block_swap_pair, conjugated_tent_pair,
                       coprime_pair, double_reversal_pair, hat_demo_pair,
-                      invariant_chain_pair, random_into_map, random_onto_map)
+                      invariant_chain_pair, random_homeo, random_into_map,
+                      random_onto_map)
 
 F = Fraction
 
@@ -117,6 +119,79 @@ def reference_coincidences(f, g):
     return sorted(points), overlaps
 
 
+def reference_pullback_graph(f, g):
+    """pullback_graph as it was before the turn rule: every cell whose value
+    ranges meet gives a segment or a point, its ends ordered by comparison,
+    and segment_set drops the points that a segment covers."""
+    g_pieces = [(v0, u0, v1, u1) if v0 < v1 else (v1, u1, v0, u0)
+                for (u0, v0), (u1, v1) in g.segments()]
+    pieces = []
+    for (x0, y0), (x1, y1) in f.segments():
+        f_lo, xa, f_hi, xb = (y0, x0, y1, x1) if y0 < y1 else (y1, x1, y0, x0)
+        for g_lo, ua, g_hi, ub in g_pieces:
+            lo_on_f, hi_on_f = f_lo >= g_lo, f_hi <= g_hi
+            lo = f_lo if lo_on_f else g_lo
+            hi = f_hi if hi_on_f else g_hi
+            if lo <= hi:
+                pieces.append(Segment(
+                    (xa, _interpolate(g_lo, ua, g_hi, ub, lo)) if lo_on_f
+                    else (_interpolate(f_lo, xa, f_hi, xb, lo), ua),
+                    (xb, _interpolate(g_lo, ua, g_hi, ub, hi)) if hi_on_f
+                    else (_interpolate(f_lo, xa, f_hi, xb, hi), ub)))
+    return segment_set(pieces)
+
+
+def brute_isolated_points(f, g):
+    """The breakpoint pairs (x, u) with f(x) = g(u) at which no piece of f
+    at x and piece of g at u leave the common value the same way, read off
+    the neighbouring breakpoints' values."""
+    def leaving(points):
+        """(x, value, the directions in which the pieces at x leave it)."""
+        out = []
+        for i, (x, y) in enumerate(points):
+            near = points[max(i - 1, 0):i] + points[i + 1:i + 2]
+            out.append((x, y, {v > y for _, v in near}))
+        return out
+    return {(x, u) for x, w, ways_f in leaving(f.points)
+            for u, v, ways_g in leaving(g.points)
+            if w == v and not ways_f & ways_g}
+
+
+@pytest.fixture(scope="module")
+def turn_rule_pairs():
+    """2,088 pairs for the pullback turn rule: the tents T2..T9 squared; the
+    chain, swap and reversal pairs, each way and conjugated; two pairs with
+    isolated points; 2,000 seeded pairs of onto, into and touching maps
+    with denominators 2, 3, 4, 6 and 12; and T_d with itself and with the
+    identity for each of those denominators d."""
+    pairs = [(tent(n), tent(m)) for n in range(2, 10) for m in range(2, 10)]
+    rng = random.Random(20261020)
+    for f, g in (invariant_chain_pair(), block_swap_pair(),
+                 double_reversal_pair()):
+        pairs += [(f, g), (g, f)]
+        for decreasing in (False, True):
+            h = random_homeo(rng, decreasing=decreasing)
+            pairs.append((conjugate(f, h), conjugate(g, h)))
+    pairs += [hat_demo_pair(),
+              (make_plmap([(0, 0), ("1/2", "1/2"), (1, 0)]),
+               make_plmap([(0, 1), ("1/2", "1/2"), (1, 1)]))]
+    draws = (random_onto_map, random_into_map)
+    for denom in (2, 3, 4, 6, 12):
+        size = min(5, denom - 1)
+        for _ in range(80):
+            for draw_f in draws:
+                for draw_g in draws:
+                    pairs.append((draw_f(rng, size, denom),
+                                  draw_g(rng, size, denom)))
+            c = F(rng.randint(1, denom - 1), denom)
+            pairs.append((squeezed(random_onto_map(rng, size, denom), F(0), c),
+                          squeezed(random_onto_map(rng, size, denom), c, F(1))))
+        pairs.append((tent(denom), tent(denom)))
+        pairs.append((identity_map(), tent(denom)))
+    assert len(pairs) == 2088
+    return pairs
+
+
 @pytest.fixture(scope="module")
 def differential_mix():
     """(f, g, forward graph, pullback graph) on 1156 seeded pairs: all tent
@@ -204,6 +279,48 @@ class TestPullbackGraph:
                                 pullback_graph(g, f))
 
 
+class TestPullbackTurnRule:
+    """pullback_graph emits a touching cell's point only where the turn rule
+    keeps it, with each segment's ends ordered by the direction of f."""
+
+    def test_matches_reference(self, turn_rule_pairs):
+        with_points = 0
+        for f, g in turn_rule_pairs:
+            graph = pullback_graph(f, g)
+            assert graph.segments == reference_pullback_graph(f, g).segments, (
+                f, g)
+            with_points += bool(graph.isolated_points())
+        assert with_points >= 800
+
+    def test_every_emitted_point_is_isolated(self, turn_rule_pairs,
+                                             monkeypatch):
+        import icm.setvalued
+        raw = []
+
+        def spy(pieces):
+            raw[:] = pieces
+            return segment_set(raw)
+
+        monkeypatch.setattr(icm.setvalued, "segment_set", spy)
+        emitted = 0
+        for f, g in turn_rule_pairs:
+            graph = pullback_graph(f, g)
+            points = {s.a for s in raw if s.is_point}
+            assert points == set(graph.isolated_points()), (f, g)
+            assert all(s.a < s.b for s in raw if not s.is_point), (f, g)
+            emitted += len(points)
+        assert emitted >= 1200
+
+    def test_isolated_points_match_brute_force(self, turn_rule_pairs):
+        found = 0
+        for f, g in turn_rule_pairs:
+            isolated = brute_isolated_points(f, g)
+            assert set(pullback_graph(f, g).isolated_points()) == isolated, (
+                f, g)
+            found += len(isolated)
+        assert found >= 1200
+
+
 class TestGraphsEqual:
     def test_reflexive(self):
         a = pullback_graph(tent(4), tent(6))
@@ -226,6 +343,21 @@ class TestGraphsEqual:
             assert not same or commute(f, g), (f, g)
             equal += same
         assert equal >= 150
+
+    def test_vertical_and_level_runs_merge(self):
+        # y orders a vertical line's points and x a level line's; the
+        # pieces come in no order, and one point lies on a vertical run
+        half, third = F(1, 2), F(1, 3)
+        raw = [Segment((half, F(3, 4)), (half, F(1))),
+               Segment((F(1, 8), third), (F(1), third)),
+               Segment((half, F(1, 4)), (half, half)),
+               Segment((half, F(7, 8)), (half, F(7, 8))),
+               Segment((half, F(0)), (half, F(1, 4))),
+               Segment((F(0), third), (F(1, 4), third))]
+        assert segment_set(raw).segments == (
+            Segment((F(0), third), (F(1), third)),
+            Segment((half, F(0)), (half, half)),
+            Segment((half, F(3, 4)), (half, F(1))))
 
     def test_covers_segment_finds_its_own_keys(self):
         pull = pullback_graph(tent(4), tent(6))
