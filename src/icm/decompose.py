@@ -9,7 +9,6 @@ final refinement that pairs each block with its mirror image.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -249,15 +248,12 @@ def _split_point(f: PLMap, g: PLMap, J: Interval) -> Fraction:
                        g.image(Interval(b, J.hi)).lo)
         if lo_need > hi_allow:
             continue
+        # J.lo <= a <= lo_need <= hi_allow <= b <= J.hi, so a midpoint of
+        # two distinct ones lies inside J
         if J.strictly_inside(lo_need):
             candidates.append(lo_need)
-        else:
-            lo_cl = max(lo_need, J.lo)
-            hi_cl = min(hi_allow, J.hi)
-            if lo_cl < hi_cl:
-                mid = (lo_cl + hi_cl) / 2
-                if J.strictly_inside(mid):
-                    candidates.append(mid)
+        elif lo_need < hi_allow:
+            candidates.append((lo_need + hi_allow) / 2)
     if not candidates:
         raise NotFoundError(
             f"no common fixed point splits {J} into invariant halves")
@@ -355,25 +351,25 @@ def _require_pair(f: PLMap, g: PLMap) -> None:
 
 
 def _case_a_points(F: PLMap, G: PLMap) -> list[Fraction]:
-    """Split at common fixed points until every block has an open restriction."""
-    points: list[Fraction] = [ZERO, ONE]
+    """Split at common fixed points until every block has an open
+    restriction. The leftmost block not yet examined is on top of the
+    stack, so each block is examined once, from left to right."""
+    points: list[Fraction] = [ZERO]
     max_splits = len(F.critical_points()) + len(G.critical_points()) + 1
     splits = 0
-    while True:
-        target = None
-        for lo, hi in zip(points, points[1:]):
-            J = Interval(lo, hi)
-            if not F.is_open_on(J, J) and not G.is_open_on(J, J):
-                target = J
-                break
-        if target is None:
-            return points
-        p = _split_point(F, G, target)
+    blocks = [FULL]
+    while blocks:
+        J = blocks.pop()
+        if F.is_open_on(J, J) or G.is_open_on(J, J):
+            points.append(J.hi)
+            continue
+        p = _split_point(F, G, J)
         splits += 1
         if splits > max_splits:
             raise InternalInvariantError(
                 "splitting loop exceeded the critical-point budget")
-        bisect.insort(points, p)
+        blocks += [Interval(p, J.hi), Interval(J.lo, p)]
+    return points
 
 
 def decompose(f: PLMap, g: PLMap) -> Decomposition:

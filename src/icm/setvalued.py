@@ -13,62 +13,72 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from functools import partial
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import (Interval, PLMap, Point, ZERO, ONE, _check_cap,
                    _interpolate, compose, rat)
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .report import Report
 
 
-@dataclass(frozen=True, order=True)
-class Segment:
-    """Closed segment in [0,1]^2, endpoints stored in lexicographic order.
+def _line_key(a: Point, b: Point) -> tuple[int, int, int]:
+    """Canonical integers (A, B, C) of the line Ax + By + C = 0 through the
+    distinct points a and b: coprime, with A > 0, or A == 0 and B > 0.
+
+    With a = (p0/q0, r0/s0) and b = (p1/q1, r1/s1), the line's
+    (b_y - a_y, a_x - b_x) times q0·q1·s0·s1 is integral, so the key
+    needs no Fraction division.
+    """
+    (x0, y0), (x1, y1) = a, b
+    p0, q0 = x0.numerator, x0.denominator
+    r0, s0 = y0.numerator, y0.denominator
+    p1, q1 = x1.numerator, x1.denominator
+    r1, s1 = y1.numerator, y1.denominator
+    A = (r1 * s0 - r0 * s1) * q0 * q1
+    B = (p0 * q1 - p1 * q0) * s0 * s1
+    C = -((A // q0) * p0 + (B // s0) * r0)
+    d = math.gcd(A, B, C)
+    if A < 0 or (A == 0 and B < 0):
+        d = -d
+    return (A // d, B // d, C // d)
+
+
+class Segment(tuple):
+    """Closed segment in [0,1]^2: the pair (a, b) of its ends in
+    lexicographic order, so it compares, sorts and hashes as that pair.
 
     A degenerate segment (a == b) represents an isolated point of a graph.
     """
 
-    a: Point
-    b: Point
+    __slots__ = ()
 
-    def __post_init__(self):
-        a = (rat(self.a[0]), rat(self.a[1]))
-        b = (rat(self.b[0]), rat(self.b[1]))
-        if b < a:
-            a, b = b, a
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+
+    def __new__(cls, a: Point, b: Point) -> "Segment":
+        a = (rat(a[0]), rat(a[1]))
+        b = (rat(b[0]), rat(b[1]))
+        return tuple.__new__(cls, (a, b) if a <= b else (b, a))
+
+    def __getnewargs__(self) -> tuple[Point, Point]:
+        return tuple(self)
 
     @property
     def is_point(self) -> bool:
-        return self.a == self.b
+        return self[0] == self[1]
 
     def line_key(self) -> tuple[int, int, int]:
-        """Canonical integers (A, B, C) of the supporting line Ax + By + C = 0:
-        coprime, with A > 0, or A == 0 and B > 0.
-
-        With a = (p0/q0, r0/s0) and b = (p1/q1, r1/s1), the line's
-        (b_y - a_y, a_x - b_x) times q0·q1·s0·s1 is integral, so the key
-        needs no Fraction division.
-        """
-        (x0, y0), (x1, y1) = self.a, self.b
-        p0, q0 = x0.numerator, x0.denominator
-        r0, s0 = y0.numerator, y0.denominator
-        p1, q1 = x1.numerator, x1.denominator
-        r1, s1 = y1.numerator, y1.denominator
-        A = (r1 * s0 - r0 * s1) * q0 * q1
-        B = (p0 * q1 - p1 * q0) * s0 * s1
-        C = -((A // q0) * p0 + (B // s0) * r0)
-        d = math.gcd(A, B, C)
-        if A < 0 or (A == 0 and B < 0):
-            d = -d
-        return (A // d, B // d, C // d)
+        """The integer key of the supporting line; see `_line_key`."""
+        if self[0] == self[1]:
+            raise DomainError("a point has no supporting line")
+        return _line_key(*self)
 
     def contains_point(self, p: Point) -> bool:
         """The points of a line are in lexicographic order along it, so p is
         on the segment when it lies between the ends and on their line."""
-        a, b = self.a, self.b
+        a, b = self
         return (a <= p <= b and (p[0] - a[0]) * (b[1] - a[1])
                 == (p[1] - a[1]) * (b[0] - a[0]))
 
@@ -84,22 +94,15 @@ class Segment:
                 self.a[1] + t * (self.b[1] - self.a[1]))
 
 
-def _segment(a: Point, b: Point) -> Segment:
-    """A Segment from two points of Fractions the library has built, passed
-    in lexicographic order: nothing is coerced or compared. User input goes
-    through Segment.
-
-    The fields are written to the instance dict, as the frozen dataclass's
-    own ``object.__setattr__`` would, at two fewer calls per segment.
-    """
-    s = object.__new__(Segment)
-    s.__dict__.update(a=a, b=b)
-    return s
+#: A Segment from the pair of its ends, built by the library from Fractions
+#: in lexicographic order: nothing is coerced or compared. User input goes
+#: through Segment.
+_segment = partial(tuple.__new__, Segment)
 
 
 def _ordered(a: Point, b: Point) -> Segment:
     """The library-built segment between two points in either order."""
-    return _segment(a, b) if a < b else _segment(b, a)
+    return _segment((a, b) if a < b else (b, a))
 
 
 @dataclass(frozen=True)
@@ -184,11 +187,6 @@ class SegmentSet:
                            for s in self.segments)
 
 
-#: The order of `Segment.__lt__` as a sort key, without the two tuples that
-#: the dataclass comparison builds per call.
-_ends = attrgetter("a", "b")
-
-
 def segment_set(raw: Iterable[Segment]) -> SegmentSet:
     """Canonicalize: merge touching collinear segments, drop covered points.
     Only user input brings covered points: `pullback_graph` emits none,
@@ -205,27 +203,28 @@ def segment_set(raw: Iterable[Segment]) -> SegmentSet:
     proper: dict[tuple, list[Segment]] = {}
     points: set[Point] = set()
     for s in raw:
-        if s.is_point:
-            points.add(s.a)
+        a, b = s
+        if a == b:
+            points.add(a)
         else:
-            proper.setdefault(s.line_key(), []).append(s)
+            proper.setdefault(_line_key(a, b), []).append(s)
     merged: list[Segment] = []
     for (_, B, _), group in proper.items():
         # one coordinate orders a line's points: y on a vertical line, else x
         c = 0 if B else 1
-        group.sort(key=lambda s: s.a[c])
-        cur = group[0]
-        for nxt in group[1:]:
-            if nxt.a[c] <= cur.b[c]:
-                if nxt.b[c] > cur.b[c]:
-                    cur = _segment(cur.a, nxt.b)
+        group.sort(key=lambda s: s[0][c])
+        (a, b), *rest = group
+        for lo, hi in rest:
+            if lo[c] <= b[c]:
+                if hi[c] > b[c]:
+                    b = hi
             else:
-                merged.append(cur)
-                cur = nxt
-        merged.append(cur)
-    kept_points = [_segment(p, p) for p in points
+                merged.append(_segment((a, b)))
+                a, b = lo, hi
+        merged.append(_segment((a, b)))
+    kept_points = [_segment((p, p)) for p in points
                    if not any(s.contains_point(p) for s in merged)]
-    return SegmentSet(tuple(sorted(merged + kept_points, key=_ends)))
+    return SegmentSet(tuple(sorted(merged + kept_points)))
 
 
 def graphs_equal(first: SegmentSet, second: SegmentSet) -> bool:
@@ -320,14 +319,14 @@ def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
                      else (_interpolate(f_lo, xa, f_hi, xb, lo), ua))
                 q = ((xb, _interpolate(g_lo, ua, g_hi, ub, hi)) if hi_on_f
                      else (_interpolate(f_lo, xa, f_hi, xb, hi), ub))
-                pieces.append(_segment(p, q) if rises else _segment(q, p))
+                pieces.append(_segment((p, q) if rises else (q, p)))
             elif lo == hi:
                 # f's minimum is g's maximum, or f's maximum is g's minimum
                 if lo_on_f:
                     if f_stop_a and g_stop_b:
-                        pieces.append(_segment((xa, ub), (xa, ub)))
+                        pieces.append(_segment(((xa, ub), (xa, ub))))
                 elif f_stop_b and g_stop_a:
-                    pieces.append(_segment((xb, ua), (xb, ua)))
+                    pieces.append(_segment(((xb, ua), (xb, ua))))
     return segment_set(pieces)
 
 

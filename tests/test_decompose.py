@@ -1,17 +1,21 @@
 """Primary critical values, orientation, splitting, and the decomposition."""
 
+import bisect
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from icm import (FULL, Decomposition, Interval, PreconditionError,
-                 common_fixed_point, conjugate, decompose, identity_map,
-                 interval, lap, make_plmap, orientation,
-                 primary_critical_values, split_common_fixed,
-                 strongly_commute, tent, verify_decomposition)
+from icm import (FULL, Decomposition, Interval, InternalInvariantError,
+                 NotFoundError, PLMap, PreconditionError, common_fixed_point,
+                 compose, conjugate, decompose, identity_map, interval, lap,
+                 make_plmap, orientation, primary_critical_values,
+                 split_common_fixed, strongly_commute, tent,
+                 verify_decomposition)
 from icm.core import _interpolate
-from icm.decompose import (_has_invariant_prefix, _has_invariant_suffix,
+from icm.decompose import (REVERSING, _case_a_points, _halves_invariant,
+                           _has_invariant_prefix, _has_invariant_suffix,
                            _is_primary, _running_max_vertices)
 from conftest import (block_swap_pair, double_reversal_pair,
                       invariant_chain_pair, random_diagonal_map, random_homeo,
@@ -179,6 +183,118 @@ class TestSplit:
             assert left.contains_interval(m.image(left))
             assert right.contains_interval(m.image(right))
             assert m(p) == p
+
+
+def reference_split_point(f, g, J):
+    """_split_point as it was, with its midpoint clamped to J and re-checked."""
+    common = f.fixed_points(J).intersect(g.fixed_points(J))
+    candidates = []
+    for p in common.isolated:
+        if J.strictly_inside(p) and _halves_invariant(f, g, J, p):
+            candidates.append(p)
+    for seg in common.segments:
+        a, b = seg.lo, seg.hi
+        lo_need = max(a,
+                      f.image(Interval(J.lo, a)).hi,
+                      g.image(Interval(J.lo, a)).hi)
+        hi_allow = min(b,
+                       f.image(Interval(b, J.hi)).lo,
+                       g.image(Interval(b, J.hi)).lo)
+        if lo_need > hi_allow:
+            continue
+        if J.strictly_inside(lo_need):
+            candidates.append(lo_need)
+        else:
+            lo_cl = max(lo_need, J.lo)
+            hi_cl = min(hi_allow, J.hi)
+            if lo_cl < hi_cl:
+                mid = (lo_cl + hi_cl) / 2
+                if J.strictly_inside(mid):
+                    candidates.append(mid)
+    if not candidates:
+        raise NotFoundError(
+            f"no common fixed point splits {J} into invariant halves")
+    best = min(candidates)
+    if not _halves_invariant(f, g, J, best):
+        raise InternalInvariantError("candidate split point failed validation")
+    return best
+
+
+def reference_case_a_points(F, G, split=reference_split_point):
+    """_case_a_points as it was: after each split, every block is scanned
+    again from the left for the first one with no open restriction."""
+    points = [Fraction(0), Fraction(1)]
+    max_splits = len(F.critical_points()) + len(G.critical_points()) + 1
+    splits = 0
+    while True:
+        target = None
+        for lo, hi in zip(points, points[1:]):
+            J = Interval(lo, hi)
+            if not F.is_open_on(J, J) and not G.is_open_on(J, J):
+                target = J
+                break
+        if target is None:
+            return points
+        p = split(F, G, target)
+        splits += 1
+        if splits > max_splits:
+            raise InternalInvariantError(
+                "splitting loop exceeded the critical-point budget")
+        bisect.insort(points, p)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestCaseAPoints:
+    """The left-first worklist of _case_a_points against the loop that
+    scanned every block again after each split."""
+
+    def test_matches_reference(self, strongly_commuting_corpus):
+        rng = random.Random(2024)
+        pairs = [(f, g) for _, f, g in strongly_commuting_corpus]
+        for _, f, g in strongly_commuting_corpus:
+            h = random_homeo(rng, decreasing=rng.random() < 0.5)
+            pairs.append((conjugate(f, h), conjugate(g, h)))
+        pairs.append(invariant_chain_pair())
+        split_twice = failed = 0
+        for f, g in pairs:
+            # the pair itself, and the pair decompose hands over: each
+            # reversing map replaced by its square
+            squared = [compose(m, m) if orientation(m) == REVERSING else m
+                       for m in (f, g)]
+            for p, q in ((f, g), squared):
+                got = outcome(_case_a_points, p, q)
+                assert got == outcome(reference_case_a_points, p, q), (p, q)
+                split_twice += type(got) is list and len(got) > 3
+                failed += type(got) is tuple
+        assert split_twice >= 30 and failed >= 10, (split_twice, failed)
+
+    def test_budget_raise_matches_reference(self, monkeypatch):
+        split = []
+
+        def midpoint(f, g, J):
+            split.append(J)
+            return (J.lo + J.hi) / 2
+
+        monkeypatch.setattr(PLMap, "is_open_on", lambda f, J, K: False)
+        # the package's `decompose` is the function, not the module
+        monkeypatch.setattr(importlib.import_module("icm.decompose"),
+                            "_split_point", midpoint)
+        f, g = invariant_chain_pair()
+        with pytest.raises(InternalInvariantError, match="budget"):
+            reference_case_a_points(f, g, split=midpoint)
+        expected, split[:] = split[:], []
+        with pytest.raises(InternalInvariantError, match="budget"):
+            _case_a_points(f, g)
+        assert split == expected
+        budget = len(f.critical_points()) + len(g.critical_points()) + 1
+        assert len(split) == budget + 1
 
 
 class TestDecompose:

@@ -1,17 +1,21 @@
 """Set-valued composition graphs, commutation decisions, hats and endpoints."""
 
+import copy
 import math
+import pickle
 import random
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from icm import (PLMap, PreconditionError, ResourceError, Segment, commute,
-                 compose, conjugate, endpoints, forward_graph, forward_polyline,
-                 graphs_equal, hats, identity_map, make_plmap, profile,
-                 pullback_graph, sample_pullback, segment_set,
-                 strongly_commute, tent, verify_strong_consequences)
+from icm import (DomainError, PLMap, PreconditionError, ResourceError,
+                 Segment, commute, compose, conjugate, endpoints,
+                 forward_graph, forward_polyline, graphs_equal, hats,
+                 identity_map, make_plmap, profile, pullback_graph,
+                 sample_pullback, segment_set, strongly_commute, tent,
+                 verify_strong_consequences)
 from icm.core import _interpolate
 from icm.setvalued import (_segment_pair_intersection,
                            parametrization_coincidences)
@@ -100,6 +104,54 @@ def parametric_intersection(p, q):
     if 0 <= t <= 1 and 0 <= u <= 1:
         return ("point", p.at(t))
     return None
+
+
+@dataclass(frozen=True, order=True)
+class DataclassSegment:
+    """Segment as a frozen dataclass, as it was before it became the tuple of
+    its ends: the reference for its order, equality, hash and incidence."""
+
+    a: tuple
+    b: tuple
+
+    def __post_init__(self):
+        a = (F(self.a[0]), F(self.a[1]))
+        b = (F(self.b[0]), F(self.b[1]))
+        if b < a:
+            a, b = b, a
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def is_point(self):
+        return self.a == self.b
+
+    def line_key(self):
+        (x0, y0), (x1, y1) = self.a, self.b
+        p0, q0 = x0.numerator, x0.denominator
+        r0, s0 = y0.numerator, y0.denominator
+        p1, q1 = x1.numerator, x1.denominator
+        r1, s1 = y1.numerator, y1.denominator
+        A = (r1 * s0 - r0 * s1) * q0 * q1
+        B = (p0 * q1 - p1 * q0) * s0 * s1
+        C = -((A // q0) * p0 + (B // s0) * r0)
+        d = math.gcd(A, B, C)
+        if A < 0 or (A == 0 and B < 0):
+            d = -d
+        return (A // d, B // d, C // d)
+
+    def contains_point(self, p):
+        a, b = self.a, self.b
+        return (a <= p <= b and (p[0] - a[0]) * (b[1] - a[1])
+                == (p[1] - a[1]) * (b[0] - a[0]))
+
+
+def hash_classes(items):
+    """The partition of the indices of items by hash value."""
+    classes = {}
+    for i, item in enumerate(items):
+        classes.setdefault(hash(item), []).append(i)
+    return sorted(classes.values())
 
 
 def reference_coincidences(f, g):
@@ -476,6 +528,63 @@ class TestIncidence:
                     reference_coincidences(f, g), (f, g)
                 compared += 1
         assert compared > 1000
+
+
+class TestTupleSegment:
+    """Segment as the tuple of its ends, against the frozen dataclass it was."""
+
+    def test_matches_dataclass_segment(self):
+        rng = random.Random(2020)
+        grid = lambda: F(rng.randint(0, 6), 6)
+        ends = []
+        for _ in range(300):
+            shape = rng.randrange(4)  # any, vertical, horizontal, a point
+            a = (grid(), grid())
+            ends.append((a, (a[0] if shape in (1, 3) else grid(),
+                             a[1] if shape in (2, 3) else grid())))
+        new = [Segment(a, b) for a, b in ends]
+        old = [DataclassSegment(a, b) for a, b in ends]
+        for s, r in zip(new, old):
+            assert (s.a, s.b, s.is_point) == (r.a, r.b, r.is_point), s
+            assert s == (r.a, r.b) and len(s) == 2 and list(s) == [r.a, r.b]
+            if not r.is_point:
+                assert s.line_key() == r.line_key(), s
+            mid = ((r.a[0] + r.b[0]) / 2, (r.a[1] + r.b[1]) / 2)
+            for p in (r.a, r.b, mid, (grid(), grid()),
+                      (F(rng.randint(0, 12), 12), F(rng.randint(0, 12), 12))):
+                assert s.contains_point(p) == r.contains_point(p), (s, p)
+        for s, r in zip(new, old):
+            for t, q in zip(new, old):
+                assert (s == t, s < t) == (r == q, r < q), (s, t)
+        assert [(s.a, s.b) for s in sorted(new)] == \
+            [(r.a, r.b) for r in sorted(old)]
+        classes = hash_classes(new)
+        assert classes == hash_classes(old)
+        assert len(classes) < len(new)  # some segments repeat
+        assert sum(s.is_point for s in new) > 50
+        # a canonical set is sorted in the dataclass order
+        canonical = [DataclassSegment(s.a, s.b) for s in segment_set(new)]
+        assert canonical == sorted(canonical)
+
+    def test_point_has_no_line_key(self):
+        with pytest.raises(DomainError, match="no supporting line"):
+            Segment((0, 0), (0, 0)).line_key()
+        with pytest.raises(DomainError):
+            Segment((F(1, 3), 1), ("1/3", F(1))).line_key()
+
+    def test_copy_and_pickle_round_trip(self):
+        s = Segment((F(1, 2), 1), (0, F(1, 3)))
+        graph = pullback_graph(*hat_demo_pair())
+        assert graph.isolated_points() and graph.proper_segments()
+        clones = [copy.copy, copy.deepcopy]
+        clones += [lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+                   for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones:
+            t = clone(s)
+            assert type(t) is Segment and t == s, t
+            assert (t.a, t.b) == ((0, F(1, 3)), (F(1, 2), 1)), t
+            h = clone(graph)
+            assert h == graph and all(type(u) is Segment for u in h), h
 
 
 class TestCommutation:
