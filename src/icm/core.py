@@ -11,9 +11,8 @@ from __future__ import annotations
 import bisect
 import os
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceError
 
@@ -73,19 +72,16 @@ def rat(value) -> Fraction:
     raise DomainError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class Interval(NamedTuple("_Interval", [("lo", Fraction), ("hi", Fraction)])):
     """Closed subinterval of [0, 1]; degenerate (lo == hi) is allowed."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo, hi = rat(self.lo), rat(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __new__(cls, lo, hi) -> "Interval":
+        lo, hi = rat(lo), rat(hi)
         if not (ZERO <= lo <= hi <= ONE):
             raise DomainError(f"invalid interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def degenerate(self) -> bool:
@@ -111,8 +107,7 @@ class Interval:
 FULL = Interval(ZERO, ONE)
 
 
-def interval(lo, hi) -> Interval:
-    return Interval(rat(lo), rat(hi))
+interval = Interval
 
 
 def _interpolate(s0: Fraction, t0: Fraction, s1: Fraction, t1: Fraction,
@@ -139,33 +134,27 @@ def _interpolate(s0: Fraction, t0: Fraction, s1: Fraction, t1: Fraction,
     return Fraction(p0 * q1 * d + (p1 * q0 - p0 * q1) * n * b1, q0 * q1 * d)
 
 
-@dataclass(frozen=True)
-class CriticalSet:
+class CriticalSet(tuple):
     """Interior local extrema of a map: ordered (point, 'max'|'min') pairs."""
 
-    entries: tuple[tuple[Fraction, str], ...]
-    _points: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_points",
-                           frozenset([x for x, _ in self.entries]))
+    entries = property(tuple)
 
     @property
     def xs(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[Fraction, str]]:
-        return iter(self.entries)
+        return tuple([x for x, _ in self])
 
     def __contains__(self, x) -> bool:
-        return x in self._points
+        # the points increase, and (x,) sorts just before (x, kind)
+        i = bisect.bisect_left(self, (x,))
+        return i < len(self) and self[i][0] == x
+
+    def __repr__(self) -> str:
+        return f"CriticalSet(entries={tuple(self)!r})"
 
 
-@dataclass(frozen=True)
-class FixedSet:
+class FixedSet(NamedTuple):
     """Exact solution set of f(x) = x: isolated points plus diagonal segments."""
 
     isolated: tuple[Fraction, ...]
@@ -190,7 +179,7 @@ class FixedSet:
         first meets the pairwise overlaps, which are the components of the
         intersection, in order."""
         mine, theirs = (sorted([(x, x) for x in fs.isolated]
-                               + [(c.lo, c.hi) for c in fs.segments])
+                               + list(fs.segments))
                         for fs in (self, other))
         overlaps = []
         i = j = 0
@@ -279,24 +268,20 @@ def _level_pieces(points: Sequence[Point], lo: Fraction, hi: Fraction,
     return [tuple(p) for p in out]
 
 
-@dataclass(frozen=True)
 class PLMap:
     """Piecewise-linear map [0,1] -> [0,1] given by its breakpoints.
 
     Construction validates and canonicalizes: the abscissas must strictly
     increase from 0 to 1, ordinates stay in [0,1], no segment may have zero
     slope (the map is nowhere constant), and collinear consecutive segments
-    are merged.
+    are merged. Two maps are equal when their breakpoints are.
     """
 
-    points: tuple[Point, ...]
-    _xs: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    # floor(x·2^64) per breakpoint, built by the first `_rank`
-    _keys: list[int] | None = field(default=None, init=False, repr=False,
-                                    compare=False)
+    # _keys: floor(x·2^64) per breakpoint, built by the first `_rank`
+    __slots__ = ("points", "_xs", "_keys")
 
-    def __post_init__(self):
-        pts = [(rat(x), rat(y)) for x, y in self.points]
+    def __init__(self, points: Iterable[Point]):
+        pts = [(rat(x), rat(y)) for x, y in points]
         if len(pts) < 2:
             raise DomainError("a map needs at least the two endpoint breakpoints")
         if pts[0][0] != ZERO or pts[-1][0] != ONE:
@@ -318,10 +303,11 @@ class PLMap:
         self._set(merged)
 
     def _set(self, points: list[Point]) -> None:
-        object.__setattr__(self, "points", tuple(points))
+        self.points = tuple(points)
         # A list, not a generator: tuple(generator) is resized from length
         # 10, and CPython's tuple free lists then grow by one block per map.
-        object.__setattr__(self, "_xs", tuple([x for x, _ in points]))
+        self._xs = tuple([x for x, _ in points])
+        self._keys = None
 
     @classmethod
     def _trusted(cls, points: list[Point]) -> "PLMap":
@@ -335,6 +321,19 @@ class PLMap:
         m = object.__new__(cls)
         m._set(points)
         return m
+
+    def __eq__(self, other) -> bool:
+        return (self.points == other.points if isinstance(other, PLMap)
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.points,))
+
+    def __repr__(self) -> str:
+        return f"PLMap(points={self.points!r})"
+
+    def __reduce__(self):
+        return PLMap, (self.points,)
 
     # -- basic queries ------------------------------------------------------
 
@@ -356,8 +355,8 @@ class PLMap:
         """
         keys = self._keys
         if keys is None:
-            keys = [(x.numerator << 64) // x.denominator for x in self._xs]
-            object.__setattr__(self, "_keys", keys)
+            keys = self._keys = [(x.numerator << 64) // x.denominator
+                                 for x in self._xs]
         p, q = y.numerator, y.denominator
         key = (p << 64) // q
         i = bisect.bisect_right(keys, key)
@@ -483,7 +482,7 @@ class PLMap:
 
 def make_plmap(points: Iterable) -> PLMap:
     """Build a canonical PLMap from (x, y) pairs of ints, strings, or Fractions."""
-    return PLMap(tuple((rat(x), rat(y)) for x, y in points))
+    return PLMap(points)
 
 
 def identity_map() -> PLMap:

@@ -9,9 +9,8 @@ final refinement that pairs each block with its mirror image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (FULL, Interval, PLMap, ZERO, ONE, _interpolate, compose)
 from .errors import (DomainError, InternalInvariantError, NotFoundError,
@@ -30,8 +29,7 @@ NONOPEN = "non-open-non-monotone"
 
 # -- primary critical values ----------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimaryValues:
+class PrimaryValues(NamedTuple):
     """Primary critical values with boundary conventions and exacting points.
 
     ``values`` always starts at 0 and ends at 1; ``start_index`` records the
@@ -110,7 +108,7 @@ def _extract_exacting(f: PLMap, values: tuple[Fraction, ...], start: int,
         if len(comps) != 1:
             odd_ok = False
             continue
-        a, b = comps[0].lo, comps[0].hi
+        a, b = comps[0]
         fa, fb = f(a), f(b)
         if a in crit or b in crit:
             odd_ok = False
@@ -232,14 +230,18 @@ def _halves_invariant(f: PLMap, g: PLMap, J: Interval, p: Fraction) -> bool:
 
 
 def _split_point(f: PLMap, g: PLMap, J: Interval) -> Fraction:
-    """Least common fixed point splitting J into two invariant halves."""
+    """The least candidate point splitting J into two invariant halves: each
+    isolated common fixed point that does, and from each common fixed
+    segment lo_need if it is inside J, else hi_allow if that is. At
+    lo_need = J.lo the segment's split points form (J.lo, hi_allow], with no
+    least one; both are ends of J, with lo_need < hi_allow, only when both
+    maps are the identity on J, which is open and never split."""
     common = f.fixed_points(J).intersect(g.fixed_points(J))
     candidates: list[Fraction] = []
     for p in common.isolated:
         if J.strictly_inside(p) and _halves_invariant(f, g, J, p):
             candidates.append(p)
-    for seg in common.segments:
-        a, b = seg.lo, seg.hi
+    for a, b in common.segments:
         lo_need = max(a,
                       f.image(Interval(J.lo, a)).hi,
                       g.image(Interval(J.lo, a)).hi)
@@ -248,12 +250,11 @@ def _split_point(f: PLMap, g: PLMap, J: Interval) -> Fraction:
                        g.image(Interval(b, J.hi)).lo)
         if lo_need > hi_allow:
             continue
-        # J.lo <= a <= lo_need <= hi_allow <= b <= J.hi, so a midpoint of
-        # two distinct ones lies inside J
+        # J.lo <= a <= lo_need <= hi_allow <= b <= J.hi
         if J.strictly_inside(lo_need):
             candidates.append(lo_need)
-        elif lo_need < hi_allow:
-            candidates.append((lo_need + hi_allow) / 2)
+        elif J.strictly_inside(hi_allow):
+            candidates.append(hi_allow)
     if not candidates:
         raise NotFoundError(
             f"no common fixed point splits {J} into invariant halves")
@@ -265,7 +266,9 @@ def _split_point(f: PLMap, g: PLMap, J: Interval) -> Fraction:
 
 def split_common_fixed(f: PLMap, g: PLMap, J: Interval) -> Fraction:
     """Common fixed point p in int(J) with [J.lo, p] and [p, J.hi] invariant
-    under both maps; the least such point.
+    under both maps. Such points need not have a least one, so p is the least
+    candidate: each isolated such point, and one point of each common fixed
+    segment, its least such point or, where there is none, its greatest.
 
     Preconditions: both restrictions are onto J, strongly commute as a pair
     on J, and neither is open.
@@ -281,27 +284,21 @@ def split_common_fixed(f: PLMap, g: PLMap, J: Interval) -> Fraction:
 
 # -- the decomposition ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RestrictionInfo:
+class RestrictionInfo(NamedTuple):
     tag: str
     image: Interval
     codomain: Interval
 
 
-@dataclass(frozen=True)
-class BlockInfo:
+class BlockInfo(NamedTuple):
     interval: Interval
     restrictions: tuple[tuple[str, RestrictionInfo], ...]
 
     def get(self, name: str) -> RestrictionInfo:
-        for key, info in self.restrictions:
-            if key == name:
-                return info
-        raise KeyError(name)
+        return dict(self.restrictions)[name]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     points: tuple[Fraction, ...]
     case: str  # "a" | "b" | "c"
     reverser: Optional[str]  # "f" or "g" in case b, None otherwise

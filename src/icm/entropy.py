@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import ONE, ZERO, PLMap, _check_cap
 from .errors import DomainError, InternalInvariantError, PreconditionError
@@ -25,8 +25,7 @@ def lap(f: PLMap) -> int:
     return len(f.critical_points()) + 1
 
 
-@dataclass(frozen=True)
-class LapSequence:
+class LapSequence(NamedTuple):
     """Lap counts of the first iterates and the resulting growth estimate."""
 
     laps: tuple[tuple[int, int], ...]  # (k, lap(f^k))
@@ -83,19 +82,20 @@ def entropy_lap(f: PLMap, k_max: int) -> LapSequence:
     return LapSequence(tuple(laps), estimate)
 
 
-@dataclass(frozen=True)
-class MarkovData:
-    """Markov partition with its cover-count matrix and certified Perron root."""
+class MarkovData(NamedTuple("_MarkovData", [
+        ("partition", tuple[Fraction, ...]),
+        ("matrix", tuple[tuple[int, ...], ...]),
+        ("spectral_radius", float), ("radius_error", float)])):
+    """Markov partition with its cover-count matrix and certified Perron
+    root; radius_error is the half-width of the bracket."""
 
-    partition: tuple[Fraction, ...]
-    matrix: tuple[tuple[int, ...], ...]
-    spectral_radius: float
-    radius_error: float  # half-width of the certified bracket
+    __slots__ = ()
 
-    def __post_init__(self):
-        for row in self.matrix:
-            if sum(row) < 1:
-                raise DomainError("each cell of an onto map must cover a cell")
+    def __new__(cls, *args, **kwargs) -> "MarkovData":
+        data = super().__new__(cls, *args, **kwargs)
+        if any(sum(row) < 1 for row in data.matrix):
+            raise DomainError("each cell of an onto map must cover a cell")
+        return data
 
 
 def markov_partition(f: PLMap, max_points: int = 256) -> MarkovData | None:

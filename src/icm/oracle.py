@@ -7,15 +7,14 @@ design and exposed to the test suite and `icm verify --oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import PLMap, Point, _check_cap
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class GridSample:
+class GridSample(NamedTuple):
     """Exact rational grid points satisfying a predicate."""
 
     resolution: int

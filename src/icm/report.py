@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -16,9 +15,11 @@ class Check:
         return f"{status:4s} {self.name}" + (f" -- {self.detail}" if self.detail else "")
 
 
-@dataclass
 class Report:
-    checks: list[Check] = field(default_factory=list)
+    """The checks of one verification, in the order they were made."""
+
+    def __init__(self):
+        self.checks: list[Check] = []
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(Check(name, bool(passed), detail))

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 from .core import (Interval, PLMap, Point, ZERO, ONE, _check_cap,
                    _interpolate, compose, rat)
@@ -105,30 +104,29 @@ def _ordered(a: Point, b: Point) -> Segment:
     return _segment((a, b) if a < b else (b, a))
 
 
-@dataclass(frozen=True)
-class SegmentSet:
-    """Canonical arrangement of closed segments representing a closed set.
+class SegmentSet(tuple):
+    """Canonical arrangement of closed segments representing a closed set:
+    the tuple of its segments.
 
     Every SegmentSet the library builds comes out of ``segment_set``
     (``reflected`` included), so ``==`` is point-set equality.
     """
 
-    segments: tuple[Segment, ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.segments)
+    segments = property(tuple)
 
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self.segments)
+    def __repr__(self) -> str:
+        return f"SegmentSet(segments={tuple(self)!r})"
 
     def contains_point(self, p: Point) -> bool:
-        return any(s.contains_point(p) for s in self.segments)
+        return any(s.contains_point(p) for s in self)
 
     def proper_segments(self) -> list[Segment]:
-        return [s for s in self.segments if not s.is_point]
+        return [s for s in self if not s.is_point]
 
     def isolated_points(self) -> list[Point]:
-        return [s.a for s in self.segments if s.is_point]
+        return [s.a for s in self if s.is_point]
 
     def _keyed(self) -> list[tuple[Segment, tuple[int, int, int]]]:
         """The proper segments, each with its line key."""
@@ -180,11 +178,11 @@ class SegmentSet:
 
     def covers(self, other: "SegmentSet") -> bool:
         keyed = self._keyed()
-        return all(self.covers_segment(s, keyed) for s in other.segments)
+        return all(self.covers_segment(s, keyed) for s in other)
 
     def reflected(self) -> "SegmentSet":
         return segment_set(_ordered((s.a[1], s.a[0]), (s.b[1], s.b[0]))
-                           for s in self.segments)
+                           for s in self)
 
 
 def segment_set(raw: Iterable[Segment]) -> SegmentSet:
@@ -224,7 +222,7 @@ def segment_set(raw: Iterable[Segment]) -> SegmentSet:
         merged.append(_segment((a, b)))
     kept_points = [_segment((p, p)) for p in points
                    if not any(s.contains_point(p) for s in merged)]
-    return SegmentSet(tuple(sorted(merged + kept_points)))
+    return SegmentSet(sorted(merged + kept_points))
 
 
 def graphs_equal(first: SegmentSet, second: SegmentSet) -> bool:
@@ -349,8 +347,7 @@ def strongly_commute(f: PLMap, g: PLMap) -> bool:
 
 # -- hats, endpoints, counting ------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class GraphFeature:
+class GraphFeature(NamedTuple):
     """A distinguished point of the graph of g⁻¹∘f."""
 
     location: Point
@@ -400,8 +397,7 @@ def endpoints(f: PLMap, g: PLMap) -> list[GraphFeature]:
     return sorted(out.values())
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Hat counts per critical point of f and endpoint counts per gap of C_f."""
 
     hat_counts: tuple[int, ...]        # h_1 .. h_n

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from icm import PLMap, compose, conjugate, iterate, make_plmap, tent
+from icm import (PLMap, compose, conjugate, identity_map, iterate, make_plmap,
+                 tent)
 
 
 @pytest.fixture(autouse=True)
@@ -150,6 +151,54 @@ def coprime_pair(rng: random.Random, lo: int = 2, hi: int = 7) -> tuple[int, int
         n, m = rng.randint(lo, hi), rng.randint(lo, hi)
         if math.gcd(n, m) == 1:
             return n, m
+
+
+def mirror(f: PLMap) -> PLMap:
+    """The half-turn x -> 1 - f(1 - x) of f."""
+    return PLMap(tuple((1 - x, 1 - y) for x, y in reversed(f.points)))
+
+
+def glued_pair(rng: random.Random, denom: int = 24) -> tuple[PLMap, PLMap]:
+    """A strongly commuting pair glued from block pairs on 1 to 3 cuts of
+    the 1/denom grid.
+
+    Both maps send every block onto itself, so they fix every cut, and the
+    two sides of f∘g⁻¹ = g⁻¹∘f can differ only where f(x) is a cut. Every
+    cut has the identity pair on one side, which takes the cut's value only
+    at the cut, so the glued pair strongly commutes. The other blocks carry
+    coprime tents T_n, T_m, conjugated by a random increasing homeomorphism:
+    as they are where the block's left end must be fixed, mirrored where
+    only its right end must be, both odd where both must be. Half of the
+    glued pairs are conjugated once more as a whole.
+    """
+    cuts = [0, *sorted(rng.sample(range(1, denom), rng.randint(1, 3))), denom]
+    k = len(cuts) - 1
+    tents = [False] * k
+    while not any(tents):
+        for i in range(k):
+            tents[i] = not (i and tents[i - 1]) and rng.random() < 0.6
+    f_pts, g_pts = [], []
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        f = g = identity_map()
+        if tents[i]:
+            fix_lo, fix_hi = i > 0, i < k - 1
+            while True:
+                n, m = coprime_pair(rng, hi=9)
+                if not (fix_lo and fix_hi) or n % 2 == m % 2 == 1:
+                    break
+            f, g = tent(n), tent(m)
+            if fix_hi and not fix_lo:
+                f, g = mirror(f), mirror(g)
+            h = random_homeo(rng)
+            f, g = conjugate(f, h), conjugate(g, h)
+        w, c = Fraction(hi - lo, denom), Fraction(lo, denom)
+        for out, m in ((f_pts, f), (g_pts, g)):
+            out += [(c + w * x, c + w * y) for x, y in m.points[bool(i):]]
+    f, g = PLMap(tuple(f_pts)), PLMap(tuple(g_pts))
+    if rng.random() < 0.5:
+        h = random_homeo(rng, decreasing=rng.random() < 0.5)
+        f, g = conjugate(f, h), conjugate(g, h)
+    return f, g
 
 
 # -- corpora -------------------------------------------------------------------

@@ -219,6 +219,22 @@ class TestCli:
             "g: open-non-monotone -> [3/4, 1], "
             "f2: open-non-monotone -> [3/4, 1]\n")
 
+    def test_decompose_text_with_a_fixed_segment(self, tmp_path, capsys):
+        # the identity on [0, 1/2] glued to T3 and to T5 on [1/2, 1]
+        (tmp_path / "f.pwl").write_text("0 0\n1/2 1/2\n2/3 1\n5/6 1/2\n1 1\n")
+        (tmp_path / "g.pwl").write_text(
+            "0 0\n1/2 1/2\n3/5 1\n7/10 1/2\n4/5 1\n9/10 1/2\n1 1\n")
+        maps = [tmp_path / "f.pwl", tmp_path / "g.pwl"]
+        assert run_cli(["strong-commute", *maps], capsys) == (0, "true\n", "")
+        assert run_cli(["decompose", *maps, "--format", "text"], capsys) == (
+            0,
+            "case: a\n"
+            "points: 0 1/2 1\n"
+            "[0, 1/2]: f: monotone -> [0, 1/2], g: monotone -> [0, 1/2]\n"
+            "[1/2, 1]: f: open-non-monotone -> [1/2, 1], "
+            "g: open-non-monotone -> [1/2, 1]\n",
+            "")
+
     def test_markov_entropy_of_a_non_integer_perron_root(self, tmp_path,
                                                         capsys):
         # cover matrix [[0, 1], [1, 1]]: the golden mean

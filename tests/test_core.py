@@ -42,6 +42,15 @@ def plmaps(draw, max_interior=4, denom=24):
 
 
 class TestConstruction:
+    def test_interval_coerces_and_checks(self):
+        for J in (Interval("1/3", 1), Interval(hi=1, lo=F(1, 3)),
+                  interval("1/3", "1")):
+            assert J == (F(1, 3), F(1)) and type(J) is Interval
+            assert all(type(end) is F for end in J)
+        for lo, hi in ((1, 0), (-1, 0), (0, 2), (0.5, 1)):
+            with pytest.raises(DomainError):
+                Interval(lo, hi)
+
     def test_tent_two(self):
         assert tent(2).points == ((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0)))
 

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from icm import (FULL, Decomposition, Interval, InternalInvariantError,
-                 NotFoundError, PLMap, PreconditionError, common_fixed_point,
-                 compose, conjugate, decompose, identity_map, interval, lap,
+                 NotFoundError, PLMap, PreconditionError,
+                 brute_force_strong_commute, common_fixed_point, compose,
+                 conjugate, decompose, identity_map, interval, lap,
                  make_plmap, orientation, primary_critical_values,
                  split_common_fixed, strongly_commute, tent,
                  verify_decomposition)
@@ -17,7 +18,7 @@ from icm.core import _interpolate
 from icm.decompose import (REVERSING, _case_a_points, _halves_invariant,
                            _has_invariant_prefix, _has_invariant_suffix,
                            _is_primary, _running_max_vertices)
-from conftest import (block_swap_pair, double_reversal_pair,
+from conftest import (block_swap_pair, double_reversal_pair, glued_pair,
                       invariant_chain_pair, random_diagonal_map, random_homeo,
                       random_into_map, random_onto_map, wiggly_staircase_map)
 
@@ -174,6 +175,16 @@ class TestSplit:
         f, g = invariant_chain_pair()
         with pytest.raises(PreconditionError):
             split_common_fixed(f, g, interval(0, "1/2"))
+
+    def test_fixed_segment_at_the_left_end_splits_at_its_right_end(self):
+        # the identity on [0, 1/2] glued to T3 and to T5 on [1/2, 1]: the
+        # split points of the fixed segment form (0, 1/2], with no least one
+        f = make_plmap([(0, 0), ("1/2", "1/2"), ("2/3", 1), ("5/6", "1/2"),
+                        (1, 1)])
+        g = make_plmap([(0, 0), ("1/2", "1/2"), ("3/5", 1), ("7/10", "1/2"),
+                        ("4/5", 1), ("9/10", "1/2"), (1, 1)])
+        assert split_common_fixed(f, g, FULL) == F(1, 2)
+        assert decompose(f, g).points == (F(0), F(1, 2), F(1))
 
     def test_split_point_keeps_halves_invariant(self):
         f, g = invariant_chain_pair()
@@ -376,6 +387,26 @@ class TestDecompose:
                     assert not (block.get("f").tag == "non-open-non-monotone"
                                 and block.get("g").tag
                                 == "non-open-non-monotone"), name
+
+    def test_glued_pairs_decompose(self):
+        rng = random.Random(20261020)
+        most_splits = 0
+        for i in range(60):
+            f, g = glued_pair(rng)
+            assert strongly_commute(f, g), (i, f, g)
+            if i < 8:
+                assert brute_force_strong_commute(f, g, 480), (i, f, g)
+            D = decompose(f, g)
+            assert D.case == "a", (i, f, g)
+            report = verify_decomposition(f, g, D)
+            assert report.passed, (i, f, g, report.failures())
+            p = common_fixed_point(f, g)
+            assert f(p) == g(p) == p
+            budget = len(f.critical_points()) + len(g.critical_points()) + 1
+            splits = len(D.points) - 2
+            assert splits <= budget, (i, f, g)
+            most_splits = max(most_splits, splits)
+        assert most_splits >= 2
 
     def test_tampered_decomposition_fails(self):
         f, g = invariant_chain_pair()

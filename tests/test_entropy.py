@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from icm import (PLMap, PreconditionError, ResourceError, compose, conjugate,
-                 entropy_lap, entropy_markov, entropy_setvalued, identity_map,
-                 iterate, lap, make_plmap, markov_partition, tent)
+from icm import (DomainError, MarkovData, PLMap, PreconditionError,
+                 ResourceError, compose, conjugate, entropy_lap, entropy_markov,
+                 entropy_setvalued, identity_map, iterate, lap, make_plmap,
+                 markov_partition, tent)
 from icm.entropy import PERRON_TOLERANCE, _perron_bracket
 from conftest import invariant_chain_pair, random_homeo, random_onto_map
 
@@ -120,6 +121,13 @@ def _whole_set_closure(f: PLMap, max_points: int):
 
 
 class TestMarkov:
+    def test_every_row_must_cover_a_cell(self):
+        data = MarkovData(partition=(F(0), F(1)), matrix=((1,),),
+                          spectral_radius=1.0, radius_error=0.0)
+        assert data == markov_partition(identity_map())
+        with pytest.raises(DomainError, match="must cover a cell"):
+            MarkovData((F(0), F(1, 2), F(1)), ((1, 1), (0, 0)), 1.0, 0.0)
+
     def test_tent2_structure(self):
         data = markov_partition(tent(2))
         assert data.partition == (F(0), F(1, 2), F(1))

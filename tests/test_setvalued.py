@@ -10,13 +10,16 @@ from fractions import Fraction
 
 import pytest
 
+import icm
 from icm import (DomainError, PLMap, PreconditionError, ResourceError,
-                 Segment, commute, compose, conjugate, endpoints,
-                 forward_graph, forward_polyline, graphs_equal, hats,
-                 identity_map, make_plmap, profile, pullback_graph,
+                 Segment, commute, compose, conjugate, decompose, endpoints,
+                 entropy_lap, forward_graph, forward_polyline, graphs_equal,
+                 hats, identity_map, interval, make_plmap, markov_partition,
+                 primary_critical_values, profile, pullback_graph,
                  sample_pullback, segment_set, strongly_commute, tent,
-                 verify_strong_consequences)
+                 verify_decomposition, verify_strong_consequences)
 from icm.core import _interpolate
+from icm.report import Report
 from icm.setvalued import (_segment_pair_intersection,
                            parametrization_coincidences)
 from conftest import (alternating_map, block_swap_pair, conjugated_tent_pair,
@@ -573,6 +576,9 @@ class TestTupleSegment:
             Segment((F(1, 3), 1), ("1/3", F(1))).line_key()
 
     def test_copy_and_pickle_round_trip(self):
+        """Every public value type, built by the library, comes back equal
+        and of its own type from copy, deepcopy and every pickle protocol,
+        with its repr, equality and hash pinned."""
         s = Segment((F(1, 2), 1), (0, F(1, 3)))
         graph = pullback_graph(*hat_demo_pair())
         assert graph.isolated_points() and graph.proper_segments()
@@ -585,6 +591,90 @@ class TestTupleSegment:
             assert (t.a, t.b) == ((0, F(1, 3)), (F(1, 2), 1)), t
             h = clone(graph)
             assert h == graph and all(type(u) is Segment for u in h), h
+        values = value_types()
+        exported = {t.__name__ for t in map(icm.__dict__.get, icm.__all__)
+                    if isinstance(t, type)
+                    and not issubclass(t, (Exception, Fraction))}
+        assert exported <= {type(v).__name__ for v, _ in values}
+        for v, expected in values:
+            assert repr(v) == expected
+            # a record or sequence equals and hashes as the plain tuple of
+            # its fields or items, a map hashes as the one-tuple of its
+            # breakpoints and equals no tuple
+            fields = (v.points,) if isinstance(v, PLMap) else tuple(v)
+            assert (v == fields) is not isinstance(v, PLMap)
+            assert hash(v) == hash(fields), v
+            for clone in clones:
+                w = clone(v)
+                assert type(w) is type(v) and w == v and hash(w) == hash(v)
+                # a frozenset's repr follows the order its items came in
+                assert repr(w) == expected or type(w).__name__ == "GridSample"
+        for (v, _), (w, _) in zip(values, values[1:]):
+            assert v != w
+        assert tent(3) != tent(5) and tent(3) == make_plmap(tent(3).points)
+        f, g = invariant_chain_pair()
+        report = verify_decomposition(f, g, decompose(f, g))
+        for clone in clones:
+            copied = clone(report)
+            assert type(copied) is Report and copied.checks == report.checks
+
+
+def value_types():
+    """One value of each public value type from a library call, with the
+    repr it has."""
+    fr = "Fraction({}, {})".format
+    unit = f"Interval(lo={fr(0, 1)}, hi={fr(1, 1)})"
+    info = (f"RestrictionInfo(tag='open-non-monotone', image={unit}, "
+            f"codomain={unit})")
+    block = (f"BlockInfo(interval={unit}, restrictions=(('f', {info}), "
+             f"('g', {info})))")
+    glued = make_plmap([(0, 0), ("1/2", "1/2"), ("2/3", 1), ("5/6", "1/2"),
+                        (1, 1)])
+    D = decompose(tent(3), tent(4))
+    sample = sample_pullback(tent(2), tent(3), 2)
+    return [
+        (interval("1/3", "1/2"), f"Interval(lo={fr(1, 3)}, hi={fr(1, 2)})"),
+        (tent(3).critical_points(),
+         f"CriticalSet(entries=(({fr(1, 3)}, 'max'), ({fr(2, 3)}, 'min')))"),
+        (glued.fixed_points(),
+         f"FixedSet(isolated=({fr(3, 4)}, {fr(1, 1)}), segments=("
+         f"Interval(lo={fr(0, 1)}, hi={fr(1, 2)}),))"),
+        (Segment((1, "2/3"), (0, 0)),
+         f"(({fr(0, 1)}, {fr(0, 1)}), ({fr(1, 1)}, {fr(2, 3)}))"),
+        (pullback_graph(tent(2), tent(3)),
+         f"SegmentSet(segments=((({fr(0, 1)}, {fr(0, 1)}), "
+         f"({fr(1, 1)}, {fr(2, 3)})), (({fr(0, 1)}, {fr(2, 3)}), "
+         f"({fr(1, 2)}, {fr(1, 1)})), (({fr(0, 1)}, {fr(2, 3)}), "
+         f"({fr(1, 1)}, {fr(0, 1)})), (({fr(1, 2)}, {fr(1, 1)}), "
+         f"({fr(1, 1)}, {fr(2, 3)}))))"),
+        (hats(*hat_demo_pair())[0],
+         f"GraphFeature(location=({fr(1, 3)}, {fr(0, 1)}), kind='hat')"),
+        (profile(tent(2), tent(3)),
+         "Profile(hat_counts=(1,), endpoint_counts=(1, 1), total_hats=1, "
+         "total_endpoints=2, has_end_hat=False, chain_sums=(2, 2), "
+         "chain_holds=True, count_bound_holds=True, "
+         "parity_bound_holds=True)"),
+        (primary_critical_values(tent(3)),
+         f"PrimaryValues(values=({fr(0, 1)}, {fr(1, 1)}), start_index=1, "
+         f"exacting=({fr(0, 1)}, {fr(1, 1)}), orientation='preserving')"),
+        (D.blocks[0].get("f"), info),
+        (D.blocks[0], block),
+        (D, f"Decomposition(points=({fr(0, 1)}, {fr(1, 1)}), case='a', "
+            f"reverser=None, blocks=({block},))"),
+        (entropy_lap(tent(3), 3),
+         "LapSequence(laps=((1, 3), (2, 9), (3, 27)), "
+         "estimate=1.0986122886681098)"),
+        (markov_partition(tent(3)),
+         f"MarkovData(partition=({fr(0, 1)}, {fr(1, 3)}, {fr(2, 3)}, "
+         f"{fr(1, 1)}), matrix=((1, 1, 1), (1, 1, 1), (1, 1, 1)), "
+         f"spectral_radius=3.0, radius_error=0.0)"),
+        (sample, f"GridSample(resolution=2, points={sample.points!r})"),
+        (verify_decomposition(tent(3), tent(4), D).checks[0],
+         "Check(name='partition', passed=True, detail=\"points=['0', '1']\")"),
+        (tent(3), f"PLMap(points=(({fr(0, 1)}, {fr(0, 1)}), "
+                  f"({fr(1, 3)}, {fr(1, 1)}), ({fr(2, 3)}, {fr(0, 1)}), "
+                  f"({fr(1, 1)}, {fr(1, 1)})))"),
+    ]
 
 
 class TestCommutation:
