@@ -27,7 +27,8 @@ ONE = Fraction(1)
 #: tracemalloc for k = 7..9, so a budget of 1 GiB allows about 3.3 * 10^6.
 DEFAULT_BREAKPOINT_CAP = 3 * 10**6
 
-_RATIONAL = re.compile(r"-?\d+(/\d+)?")
+#: A rational of the .pwl grammar: its signed numerator and its denominator.
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def _check_cap(count: int, needs: str) -> None:
@@ -49,6 +50,24 @@ def _check_cap(count: int, needs: str) -> None:
         raise ResourceError(f"{needs}, above the cap {cap}")
 
 
+def _read_rational(text: str) -> tuple[int, int]:
+    """The numerator and denominator of a string ``-?digits(/digits)?``
+    (the .pwl grammar), as integers that need not be coprime; the
+    denominator is positive. Both map files and `rat` read tokens here."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise DomainError(f"not an integer or a/b rational: {text!r}")
+    num, den = m.groups()
+    try:
+        n, d = int(num), int(den) if den else 1
+    except ValueError:  # past Python's limit on integer string digits
+        raise DomainError(
+            f"too many digits: a {len(text)}-character rational") from None
+    if not d:
+        raise DomainError(f"zero denominator: {text!r}")
+    return n, d
+
+
 def rat(value) -> Fraction:
     """Coerce an int, a Fraction, or a string ``-?digits(/digits)?`` (the
     .pwl grammar) to a Fraction.
@@ -60,15 +79,7 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise DomainError(f"not an integer or a/b rational: {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise DomainError(f"zero denominator: {value!r}") from None
-        except ValueError:  # past Python's limit on integer string digits
-            raise DomainError(
-                f"too many digits: a {len(value)}-character rational") from None
+        return Fraction(*_read_rational(value))
     raise DomainError(f"not an exact rational: {value!r}")
 
 
@@ -118,7 +129,8 @@ def _interpolate(s0: Fraction, t0: Fraction, s1: Fraction, t1: Fraction,
 
     With s = a/b, s0 = a0/b0, s1 = a1/b1 and t0 = p0/q0, t1 = p1/q1, the
     value t0 + (t1 - t0)(s - s0)/(s1 - s0) is one integer fraction, reduced
-    once, with no intermediate Fraction.
+    once, with no intermediate Fraction. The s values may be ints, as the
+    pullback graph's values are: a scale common to all three cancels.
     """
     a, b = s.numerator, s.denominator
     a0, b0 = s0.numerator, s0.denominator
@@ -207,13 +219,61 @@ def _fixed_set(pairs: Iterable[tuple[Fraction, Fraction]]) -> FixedSet:
     return FixedSet(tuple(isolated), tuple(segments))
 
 
-def _straight(p: Point, q: Point, r: Point) -> bool:
-    """Whether the pieces p-q and q-r of a map lie on one line, so that q is
-    no breakpoint. No piece is constant, so a turn is never collinear: the
-    cross product is needed only where the direction holds."""
-    (x0, y0), (x1, y1) = p, q
-    return (y0 < y1) == (y1 < r[1]) and \
-        (y1 - y0) * (r[0] - x1) == (r[1] - y1) * (x1 - x0)
+#: A point as integers: (x numerator, x denominator, y numerator, y
+#: denominator), the denominators positive and the pairs not always coprime.
+_Quad = tuple[int, int, int, int]
+
+
+def _quad(p: Point) -> _Quad:
+    x, y = p
+    return x.numerator, x.denominator, y.numerator, y.denominator
+
+
+def _straight(p: _Quad, q: _Quad, r: _Quad) -> bool:
+    """Whether the pieces p-q and q-r run the same way along one line, so
+    that q is no breakpoint of a map through them. No piece of a map is
+    constant, so a turn is never collinear: the cross product is needed
+    only where the direction holds.
+
+    (y1 - y0)(x2 - x1) = (y2 - y1)(x1 - x0) is compared times the six
+    denominators, and each y difference carries the sign of the direction.
+    """
+    a0, b0, c0, e0 = p
+    a1, b1, c1, e1 = q
+    a2, b2, c2, e2 = r
+    up = c1 * e0 - c0 * e1  # (y1 - y0)·e0·e1
+    on = c2 * e1 - c1 * e2  # (y2 - y1)·e1·e2
+    return (up > 0) == (on > 0) and \
+        up * (a2 * b1 - a1 * b2) * e2 * b0 == on * (a1 * b0 - a0 * b1) * e0 * b2
+
+
+def _checked_points(quads: list[_Quad]) -> list[Point]:
+    """The canonical points of the map through these integer points, checked
+    in this order: at least two points, abscissas from 0 to 1, then piece by
+    piece a larger abscissa and another value, then every value in [0, 1].
+    A straight point is merged into its piece, and only the kept points
+    become Fractions.
+    """
+    if len(quads) < 2:
+        raise DomainError("a map needs at least the two endpoint breakpoints")
+    if quads[0][0] != 0 or quads[-1][0] != quads[-1][1]:
+        raise DomainError("breakpoint abscissas must span exactly [0, 1]")
+    for (a0, b0, c0, e0), (a1, b1, c1, e1) in zip(quads, quads[1:]):
+        if a1 * b0 <= a0 * b1:
+            raise DomainError("breakpoint abscissas must strictly increase")
+        if c0 * e1 == c1 * e0:
+            raise DomainError(f"constant piece on [{Fraction(a0, b0)}, "
+                              f"{Fraction(a1, b1)}] is not allowed")
+    for _, _, c, e in quads:
+        if not (0 <= c <= e):
+            raise DomainError(f"value {Fraction(c, e)} outside [0, 1]")
+    merged = quads[:2]
+    for q in quads[2:]:
+        if _straight(merged[-2], merged[-1], q):
+            merged[-1] = q
+        else:
+            merged.append(q)
+    return [(Fraction(a, b), Fraction(c, e)) for a, b, c, e in merged]
 
 
 def _turns(vertices: Sequence[Point]) -> Iterator[tuple[Fraction, Fraction, str]]:
@@ -282,25 +342,7 @@ class PLMap:
 
     def __init__(self, points: Iterable[Point]):
         pts = [(rat(x), rat(y)) for x, y in points]
-        if len(pts) < 2:
-            raise DomainError("a map needs at least the two endpoint breakpoints")
-        if pts[0][0] != ZERO or pts[-1][0] != ONE:
-            raise DomainError("breakpoint abscissas must span exactly [0, 1]")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x1 <= x0:
-                raise DomainError("breakpoint abscissas must strictly increase")
-            if y0 == y1:
-                raise DomainError(f"constant piece on [{x0}, {x1}] is not allowed")
-        for _, y in pts:
-            if not (ZERO <= y <= ONE):
-                raise DomainError(f"value {y} outside [0, 1]")
-        merged: list[Point] = [pts[0], pts[1]]
-        for p in pts[2:]:
-            if _straight(merged[-2], merged[-1], p):
-                merged[-1] = p
-            else:
-                merged.append(p)
-        self._set(merged)
+        self._set(_checked_points([_quad(p) for p in pts]))
 
     def _set(self, points: list[Point]) -> None:
         self.points = tuple(points)
@@ -314,9 +356,11 @@ class PLMap:
         """The map on points that are canonical already, checking nothing.
 
         Only the library calls it, on points it has built from canonical
-        maps: `Fraction` coordinates, abscissas strictly increasing from 0
-        to 1, values in [0, 1], no constant piece and no straight point.
-        User input goes through the validating constructor.
+        maps or checked with `_checked_points`: `Fraction` coordinates,
+        abscissas strictly increasing from 0 to 1, values in [0, 1], no
+        constant piece and no straight point. User input goes through the
+        validating constructor or the .pwl parser, which both check it
+        there.
         """
         m = object.__new__(cls)
         m._set(points)
@@ -547,7 +591,7 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     # A straight point left of k lies on the line through out[k - 1] and
     # out[k], so the test with the emitted neighbours is the merge test.
     straight = {k for k, (_, hit) in zip(starts[1:], ranks[1:])
-                if hit and _straight(out[k - 1], out[k], out[k + 1])}
+                if hit and _straight(*map(_quad, out[k - 1:k + 2]))}
     if straight:
         out = [p for k, p in enumerate(out) if k not in straight]
     return PLMap._trusted(out)

@@ -80,8 +80,8 @@ def primary_critical_values(f: PLMap) -> PrimaryValues:
     """
     if not f.is_onto():
         raise PreconditionError("primary critical values require an onto map")
-    crit = f.critical_points()
-    crit_values = sorted({f(c) for c in crit.xs})
+    crit = f.critical_points().xs
+    crit_values = sorted({f(c) for c in crit})
     values = [v for v in crit_values if _is_primary(f, v)]
     start_index = 1
     if ZERO not in crit_values:
@@ -90,13 +90,15 @@ def primary_critical_values(f: PLMap) -> PrimaryValues:
     if ONE not in crit_values:
         values.append(ONE)
     values = tuple(values)
-    exacting, odd_ok, pairs = _extract_exacting(f, values, start_index, crit)
+    exacting, odd_ok, pairs = _extract_exacting(f, values, start_index,
+                                                frozenset(crit))
     orient = _classify_orientation(f, exacting, odd_ok, pairs)
     return PrimaryValues(values, start_index, exacting, orient)
 
 
 def _extract_exacting(f: PLMap, values: tuple[Fraction, ...], start: int,
-                      crit) -> tuple[tuple[Optional[Fraction], ...], bool, int]:
+                      crit: frozenset[Fraction]
+                      ) -> tuple[tuple[Optional[Fraction], ...], bool, int]:
     k = len(values)
     t: list[Optional[Fraction]] = [None] * k
     odd_ok = True

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .core import PLMap, rat
+from .core import PLMap, _checked_points, _read_rational
 from .errors import DomainError, ParseError
 
 
 def parse_map_text(text: str) -> PLMap:
-    points = []
+    """The map in a .pwl text. Each token is read as integers, and the map
+    is checked and merged on them as `PLMap(...)` checks it: only the kept
+    points become Fractions."""
+    quads = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -22,12 +25,13 @@ def parse_map_text(text: str) -> PLMap:
         if len(tokens) != 2:
             raise ParseError(f"expected 'X Y', got {line!r}", lineno)
         try:
-            points.append((rat(tokens[0]), rat(tokens[1])))
+            quads.append((*_read_rational(tokens[0]),
+                          *_read_rational(tokens[1])))
         except DomainError as exc:
             raise ParseError(str(exc), lineno) from None
-    if not points:
+    if not quads:
         raise ParseError("no data lines")
-    return PLMap(tuple(points))
+    return PLMap._trusted(_checked_points(quads))
 
 
 def read_map(path) -> PLMap:

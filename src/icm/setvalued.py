@@ -267,18 +267,21 @@ def forward_graph(f: PLMap, g: PLMap) -> SegmentSet:
     return segment_set(_ordered(a, b) for a, b in zip(vertices, vertices[1:]))
 
 
-def _value_pieces(m: PLMap) -> list[tuple]:
+def _value_pieces(m: PLMap, scale: int) -> list[tuple]:
     """m's pieces as (lo, x_lo, hi, x_hi, rises, stop_lo, stop_hi): the end
-    values in increasing order with their abscissas, whether the piece
-    rises, and whether each end is a stop of m. A stop is 0, 1 or a turn: a
-    breakpoint where every piece of m leaves the value the same way."""
+    values times ``scale`` in increasing order, integers, with their
+    abscissas, whether the piece rises, and whether each end is a stop of
+    m. ``scale`` is a multiple of every value's denominator. A stop is 0, 1
+    or a turn: a breakpoint where every piece of m leaves the value the
+    same way."""
     pts = m.points
-    rises = [y0 < y1 for (_, y0), (_, y1) in zip(pts, pts[1:])]
+    vals = [y.numerator * (scale // y.denominator) for _, y in pts]
+    rises = [v0 < v1 for v0, v1 in zip(vals, vals[1:])]
     stops = [True, *[r != s for r, s in zip(rises, rises[1:])], True]
-    return [(y0, x0, y1, x1, True, stops[i], stops[i + 1]) if r
-            else (y1, x1, y0, x0, False, stops[i + 1], stops[i])
-            for i, (r, (x0, y0), (x1, y1))
-            in enumerate(zip(rises, pts, pts[1:]))]
+    return [(v0, x0, v1, x1, True, stops[i], stops[i + 1]) if r
+            else (v1, x1, v0, x0, False, stops[i + 1], stops[i])
+            for i, (r, v0, v1, (x0, _), (x1, _))
+            in enumerate(zip(rises, vals, vals[1:], pts, pts[1:]))]
 
 
 def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
@@ -299,24 +302,34 @@ def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
     leave it opposite ways, so the point is isolated, and is emitted,
     exactly when x is a stop of f and u a stop of g.
 
-    Its (|f| - 1)(|g| - 1) cells are checked against the cap first.
+    The values of both maps are compared as integers over L, the lcm of
+    their denominators. Its (|f| - 1)(|g| - 1) cells are checked against
+    the cap first.
     """
     cells = (len(f.points) - 1) * (len(g.points) - 1)
     _check_cap(cells, f"pullback graph needs {cells} cells")
-    g_pieces = _value_pieces(g)
+    L = math.lcm(*[y.denominator for m in (f, g) for _, y in m.points])
+    g_pieces = _value_pieces(g, L)
     pieces: list[Segment] = []
-    for f_lo, xa, f_hi, xb, rises, f_stop_a, f_stop_b in _value_pieces(f):
+    for f_lo, xa, f_hi, xb, rises, f_stop_a, f_stop_b in _value_pieces(f, L):
         for g_lo, ua, g_hi, ub, _, g_stop_a, g_stop_b in g_pieces:
             # lo and hi are each an end of the piece that the comparison
-            # picks; only the other piece is interpolated.
+            # picks, and of the other piece too when the two ends are equal;
+            # only a crossing inside the other piece is interpolated.
             lo_on_f, hi_on_f = f_lo >= g_lo, f_hi <= g_hi
             lo = f_lo if lo_on_f else g_lo
             hi = f_hi if hi_on_f else g_hi
             if lo < hi:
-                p = ((xa, _interpolate(g_lo, ua, g_hi, ub, lo)) if lo_on_f
-                     else (_interpolate(f_lo, xa, f_hi, xb, lo), ua))
-                q = ((xb, _interpolate(g_lo, ua, g_hi, ub, hi)) if hi_on_f
-                     else (_interpolate(f_lo, xa, f_hi, xb, hi), ub))
+                if lo_on_f:
+                    p = (xa, ua if lo == g_lo
+                         else _interpolate(g_lo, ua, g_hi, ub, lo))
+                else:
+                    p = (_interpolate(f_lo, xa, f_hi, xb, lo), ua)
+                if hi_on_f:
+                    q = (xb, ub if hi == g_hi
+                         else _interpolate(g_lo, ua, g_hi, ub, hi))
+                else:
+                    q = (_interpolate(f_lo, xa, f_hi, xb, hi), ub)
                 pieces.append(_segment((p, q) if rises else (q, p)))
             elif lo == hi:
                 # f's minimum is g's maximum, or f's maximum is g's minimum
@@ -361,7 +374,7 @@ def hats(f: PLMap, g: PLMap) -> list[GraphFeature]:
     cap first: a piece takes each value at most once.
     """
     crit_f = f.critical_points()
-    crit_g = g.critical_points()
+    crit_g = frozenset(g.critical_points().xs)
     bound = len(crit_f) * (len(g.points) - 1)
     _check_cap(bound, f"hats need up to {bound} points")
     end_image = (g(ZERO), f(ZERO))
@@ -383,8 +396,8 @@ def endpoints(f: PLMap, g: PLMap) -> list[GraphFeature]:
     Type (b): first coordinate interior non-critical for f, second 0 or 1.
     Corner points qualify for both clauses and are classified type (a).
     """
-    crit_f = f.critical_points()
-    crit_g = g.critical_points()
+    crit_f = frozenset(f.critical_points().xs)
+    crit_g = frozenset(g.critical_points().xs)
     out: dict[Point, GraphFeature] = {}
     for x in (ZERO, ONE):
         for y in g.preimage_point(f(x)):
@@ -520,13 +533,14 @@ def verify_strong_consequences(f: PLMap, g: PLMap) -> Report:
     if not strongly_commute(f, g):
         raise PreconditionError("maps do not strongly commute")
     report = Report()
-    crit_f = f.critical_points()
-    crit_g = g.critical_points()
+    crit_f = f.critical_points().xs
+    crit_g = g.critical_points().xs
+    in_f, in_g = frozenset(crit_f), frozenset(crit_g)
     n = len(crit_f)
 
     prof, hat_list, end_list = _profile_with_features(f, g)
     hat_set = {feat.location for feat in hat_list}
-    expected_hats = {(g(c), f(c)) for c in crit_f.xs}
+    expected_hats = {(g(c), f(c)) for c in crit_f}
     report.add("hat-count-and-positions",
                prof.total_hats == n and hat_set == expected_hats,
                f"hats={sorted(hat_set)}")
@@ -536,11 +550,11 @@ def verify_strong_consequences(f: PLMap, g: PLMap) -> Report:
                prof.total_endpoints == 2 and end_set == expected_ends,
                f"endpoints={sorted(end_set)}")
 
-    common = set(crit_f.xs) & set(crit_g.xs)
+    common = in_f & in_g
     report.add("disjoint-critical-sets", not common,
                f"common={sorted(common)}" if common else "")
 
-    gaps = [ZERO, *crit_f.xs, ONE]
+    gaps = [ZERO, *crit_f, ONE]
     connected = True
     witness = ""
     for lo, hi in zip(gaps, gaps[1:]):
@@ -551,13 +565,13 @@ def verify_strong_consequences(f: PLMap, g: PLMap) -> Report:
             break
     report.add("preimage-connectivity", connected, witness)
 
-    prop_ok = all(f(d) in crit_g for d in crit_g.xs) and \
-        all(g(c) in crit_f for c in crit_f.xs)
+    prop_ok = all(f(d) in in_g for d in crit_g) and \
+        all(g(c) in in_f for c in crit_f)
     report.add("critical-value-propagation", prop_ok)
 
     coincidence_pts, overlaps = parametrization_coincidences(f, g)
     cross_ok = not overlaps and all(
-        x in crit_f and y in crit_g for (x, y) in coincidence_pts)
+        x in in_f and y in in_g for (x, y) in coincidence_pts)
     detail = "retraced segment" if overlaps else f"points={coincidence_pts}"
     report.add("coincidences-at-critical-pairs", cross_ok,
                detail if not cross_ok else "")

@@ -78,6 +78,17 @@ def alternating_map(n: int = 100) -> PLMap:
     return PLMap(tuple((Fraction(i, n + 1), y) for i, y in enumerate(ys)))
 
 
+# -- references -----------------------------------------------------------------
+
+def fraction_straight(p, q, r) -> bool:
+    """The straightness test on Fraction points that the integer
+    `_straight` replaced, kept as its reference: the pieces p-q and q-r
+    run the same way along one line."""
+    (x0, y0), (x1, y1) = p, q
+    return (y0 < y1) == (y1 < r[1]) and \
+        (y1 - y0) * (r[0] - x1) == (r[1] - y1) * (x1 - x0)
+
+
 # -- deterministic generators -------------------------------------------------
 
 def random_onto_map(rng: random.Random, max_interior: int = 5,

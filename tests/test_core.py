@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from icm import (DEFAULT_BREAKPOINT_CAP, FULL, DomainError, FixedSet,
                  Interval, PLMap, ResourceError, compose, conjugate,
                  identity_map, interval, iterate, make_plmap, rat, tent)
-from icm.core import (CriticalSet, _interpolate, _straight, _turns,
+from icm.core import (CriticalSet, _interpolate, _turns,
                       invert_homeomorphism)
-from conftest import (conjugated_tent_pair, hat_demo_pair,
+from conftest import (conjugated_tent_pair, fraction_straight, hat_demo_pair,
                       invariant_chain_pair, random_diagonal_map, random_homeo,
                       random_into_map, random_onto_map)
 
@@ -421,7 +421,7 @@ def _compose_bisect_reference(f, g):
     x, y = g.points[-1]
     out.append((x, _call_reference(f, y)))
     straight = {k for k in starts[1:]
-                if _straight(out[k - 1], out[k], out[k + 1])}
+                if fraction_straight(out[k - 1], out[k], out[k + 1])}
     return [p for k, p in enumerate(out) if k not in straight]
 
 

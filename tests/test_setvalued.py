@@ -15,7 +15,7 @@ from icm import (DomainError, PLMap, PreconditionError, ResourceError,
                  Segment, commute, compose, conjugate, decompose, endpoints,
                  entropy_lap, forward_graph, forward_polyline, graphs_equal,
                  hats, identity_map, interval, make_plmap, markov_partition,
-                 primary_critical_values, profile, pullback_graph,
+                 orientation, primary_critical_values, profile, pullback_graph,
                  sample_pullback, segment_set, strongly_commute, tent,
                  verify_decomposition, verify_strong_consequences)
 from icm.core import _interpolate
@@ -247,6 +247,59 @@ def turn_rule_pairs():
     return pairs
 
 
+def big_denominator_pair(rng):
+    """f with values over 2^61 - 1 and g with each value either one of f's
+    or over 2^67 + 3, on the 1/12 grid: their common value denominator L
+    exceeds 2^64, and their pieces still share end values."""
+    def draw(values):
+        while True:
+            k = rng.randint(1, 5)
+            xs = [0, *sorted(rng.sample(range(1, 12), k)), 12]
+            ys = [rng.choice(values) for _ in xs]
+            if all(a != b for a, b in zip(ys, ys[1:])):
+                return PLMap(tuple((F(x, 12), y) for x, y in zip(xs, ys)))
+    p, q = 2**61 - 1, 2**67 + 3
+    while True:
+        f = draw([F(0), F(1), *(F(rng.randint(1, p - 1), p)
+                                for _ in range(4))])
+        f_values = [y for _, y in f.points]
+        g = draw([*f_values, *f_values,
+                  *(F(rng.randint(1, q - 1), q) for _ in range(3))])
+        if math.lcm(*[y.denominator for m in (f, g)
+                      for _, y in m.points]) > 2**64:
+            return f, g
+
+
+@pytest.fixture(scope="module")
+def integer_scale_pairs(strongly_commuting_corpus):
+    """Pairs for the pullback cells compared over L: 120 pairs conjugated
+    by homeomorphisms on the 1/17 grid (tents T2..T7 squared, the named
+    pairs, seeded onto maps), the pairs of squares that `decompose` builds
+    for the corpus pairs with a reversing map, both ways round, and 200
+    pairs whose L exceeds 2^64, both ways round."""
+    rng = random.Random(20261022)
+    bases = [(tent(n), tent(m)) for n in range(2, 8) for m in range(2, 8)]
+    bases += [invariant_chain_pair(), block_swap_pair(),
+              double_reversal_pair(), hat_demo_pair()]
+    bases += [(random_onto_map(rng), random_onto_map(rng)) for _ in range(80)]
+    pairs = []
+    for f, g in bases:
+        h = random_homeo(rng, denom=17, decreasing=rng.random() < 0.3)
+        pairs.append((conjugate(f, h), conjugate(g, h)))
+    squares = 0
+    for _, f, g in strongly_commuting_corpus:
+        maps = [compose(m, m) if orientation(m) == "reversing" else m
+                for m in (f, g)]
+        if maps != [f, g]:
+            pairs += [tuple(maps), tuple(reversed(maps))]
+            squares += 2
+    for _ in range(100):
+        f, g = big_denominator_pair(rng)
+        pairs += [(f, g), (g, f)]
+    assert len(pairs) == 120 + squares + 200 and squares >= 20
+    return pairs
+
+
 @pytest.fixture(scope="module")
 def differential_mix():
     """(f, g, forward graph, pullback graph) on 1156 seeded pairs: all tent
@@ -374,6 +427,41 @@ class TestPullbackTurnRule:
                 f, g)
             found += len(isolated)
         assert found >= 1200
+
+
+class TestIntegerCells:
+    """The cell tests compare values as integers over the pair's common
+    denominator L, and interpolate only crossings inside a piece."""
+
+    def test_matches_reference(self, integer_scale_pairs):
+        big = with_points = 0
+        for f, g in integer_scale_pairs:
+            graph = pullback_graph(f, g)
+            assert graph.segments == reference_pullback_graph(f, g).segments, (
+                f, g)
+            L = math.lcm(*[y.denominator for m in (f, g) for _, y in m.points])
+            big += L > 2**64
+            with_points += bool(graph.isolated_points())
+        assert big == 200 and with_points >= 60
+
+    def test_only_crossings_inside_a_piece_are_interpolated(self,
+                                                            monkeypatch):
+        """On T4 and T2 every cell's lo and hi are ends of both pieces, so
+        nothing is interpolated; against T2 squeezed onto [1/4, 3/4], only
+        the values strictly inside T4's pieces are."""
+        import icm.setvalued
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _interpolate(*args)
+
+        monkeypatch.setattr(icm.setvalued, "_interpolate", spy)
+        for g in (tent(2), squeezed(tent(2), F(1, 4), F(3, 4))):
+            assert pullback_graph(tent(4), g) == reference_pullback_graph(
+                tent(4), g)
+            assert all(s0 < s < s1 for s0, _, s1, _, s in calls)
+            assert len(calls) == (0 if g == tent(2) else 16)
 
 
 class TestGraphsEqual:
