@@ -22,26 +22,34 @@ from .errors import DomainError, PreconditionError
 from .report import Report
 
 
-def _line_key(a: Point, b: Point) -> tuple[int, int, int]:
+def _line_key(p0: int, q0: int, r0: int, s0: int,
+              p1: int, q1: int, r1: int, s1: int) -> tuple[int, int, int] | None:
     """Canonical integers (A, B, C) of the line Ax + By + C = 0 through the
-    distinct points a and b: coprime, with A > 0, or A == 0 and B > 0.
+    points (p0/q0, r0/s0) and (p1/q1, r1/s1), given as numerators and
+    positive denominators: coprime, with A > 0, or A == 0 and B > 0. None
+    when the two points are one.
 
-    With a = (p0/q0, r0/s0) and b = (p1/q1, r1/s1), the line's
-    (b_y - a_y, a_x - b_x) times q0·q1·s0·s1 is integral, so the key
-    needs no Fraction division.
+    The line's (y1 - y0, x0 - x1) times q0·q1·s0·s1 is integral, so the key
+    needs no Fraction division; that raw A is 0 exactly when y0 == y1 and
+    that raw B exactly when x0 == x1.
     """
-    (x0, y0), (x1, y1) = a, b
-    p0, q0 = x0.numerator, x0.denominator
-    r0, s0 = y0.numerator, y0.denominator
-    p1, q1 = x1.numerator, x1.denominator
-    r1, s1 = y1.numerator, y1.denominator
     A = (r1 * s0 - r0 * s1) * q0 * q1
     B = (p0 * q1 - p1 * q0) * s0 * s1
+    if not (A or B):
+        return None
     C = -((A // q0) * p0 + (B // s0) * r0)
     d = math.gcd(A, B, C)
     if A < 0 or (A == 0 and B < 0):
         d = -d
     return (A // d, B // d, C // d)
+
+
+def _ratios(s: Segment) -> tuple[int, ...]:
+    """The numerators and denominators of s's ends, as `_line_key` takes
+    them."""
+    (x0, y0), (x1, y1) = s
+    return (*x0.as_integer_ratio(), *y0.as_integer_ratio(),
+            *x1.as_integer_ratio(), *y1.as_integer_ratio())
 
 
 class Segment(tuple):
@@ -70,9 +78,10 @@ class Segment(tuple):
 
     def line_key(self) -> tuple[int, int, int]:
         """The integer key of the supporting line; see `_line_key`."""
-        if self[0] == self[1]:
+        key = _line_key(*_ratios(self))
+        if key is None:
             raise DomainError("a point has no supporting line")
-        return _line_key(*self)
+        return key
 
     def contains_point(self, p: Point) -> bool:
         """The points of a line are in lexicographic order along it, so p is
@@ -102,6 +111,15 @@ _segment = partial(tuple.__new__, Segment)
 def _ordered(a: Point, b: Point) -> Segment:
     """The library-built segment between two points in either order."""
     return _segment((a, b) if a < b else (b, a))
+
+
+def _on_keyed(keyed: list[tuple[Segment, tuple[int, int, int]]],
+              p: Point) -> bool:
+    """Whether p lies on one of the keyed segments: the integer side value
+    A·x + B·y + C of its line is 0 at p, and p lies between its ends."""
+    (a, q), (r, t) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+    return any(A * a * t + B * r * q + C * q * t == 0 and s[0] <= p <= s[1]
+               for s, (A, B, C) in keyed)
 
 
 class SegmentSet(tuple):
@@ -145,16 +163,18 @@ class SegmentSet(tuple):
         A line's side value A·x + B·y + C at a point (p/q, r/t) is kept as
         the integer A·p·t + B·r·q + C·q·t over q·t; the crossing parameter
         is the exact ratio of the two ends' values, brought to one scale.
+        A midpoint, and each end, is on the set when that value is 0 for
+        some line of a proper segment and the point lies between that
+        segment's ends; an isolated point covers no piece of positive length.
         """
         if s.is_point:
             return self.contains_point(s.a)
-        if not (self.contains_point(s.a) and self.contains_point(s.b)):
-            return False
         if keyed is None:
             keyed = self._keyed()
+        if not (_on_keyed(keyed, s.a) and _on_keyed(keyed, s.b)):
+            return False
         key = s.line_key()
-        (pa, qa), (ra, ta) = [(c.numerator, c.denominator) for c in s.a]
-        (pb, qb), (rb, tb) = [(c.numerator, c.denominator) for c in s.b]
+        pa, qa, ra, ta, pb, qb, rb, tb = _ratios(s)
         cuts: set[Fraction] = {ZERO, ONE}
         for t, (A, B, C) in keyed:
             if (A, B, C) == key:
@@ -171,10 +191,8 @@ class SegmentSet(tuple):
             if ZERO < u < ONE:
                 cuts.add(u)
         grid = sorted(cuts)
-        for u0, u1 in zip(grid, grid[1:]):
-            if not self.contains_point(s.at((u0 + u1) / 2)):
-                return False
-        return True
+        return all(_on_keyed(keyed, s.at((u0 + u1) / 2))
+                   for u0, u1 in zip(grid, grid[1:]))
 
     def covers(self, other: "SegmentSet") -> bool:
         keyed = self._keyed()
@@ -197,32 +215,55 @@ def segment_set(raw: Iterable[Segment]) -> SegmentSet:
     segments on L is therefore the closure of the relative interior of
     X ∩ L, fixed by X. Its maximal touching runs (the merged segments) are
     fixed with it, and so are the isolated points: the points of X on no run.
+
+    Coordinates are compared through integer keys. With Q the largest
+    denominator of any input coordinate and k = 2·bitlength(Q), p/q has the
+    key floor(p·2^k / q). Two distinct rationals with denominators at most Q
+    differ by at least 1/Q² > 2^-k, so their keys differ, in the same order:
+    on the input the key is exact, and its size is bounded by Q alone.
     """
-    proper: dict[tuple, list[Segment]] = {}
-    points: set[Point] = set()
-    for s in raw:
-        a, b = s
-        if a == b:
-            points.add(a)
+    lines: dict[tuple[int, int, int], list[tuple]] = {}
+    points: list[tuple] = []
+    Q = 0  # the bitwise or of the denominators has Q's bit length
+    for seg in raw:
+        ints = _ratios(seg)
+        Q |= ints[1] | ints[3] | ints[5] | ints[7]
+        key = _line_key(*ints)
+        if key is None:
+            points.append((seg, ints))
         else:
-            proper.setdefault(_line_key(a, b), []).append(s)
-    merged: list[Segment] = []
-    for (_, B, _), group in proper.items():
+            lines.setdefault(key, []).append((seg, ints))
+    k = 2 * Q.bit_length()
+    # a row is the keys (x0, y0, x1, y1) of a segment's ends, and the segment
+    runs: list[tuple] = []  # (line key, c, first row, the row ending the run)
+    for key, group in lines.items():
         # one coordinate orders a line's points: y on a vertical line, else x
-        c = 0 if B else 1
-        group.sort(key=lambda s: s[0][c])
-        (a, b), *rest = group
-        for lo, hi in rest:
-            if lo[c] <= b[c]:
-                if hi[c] > b[c]:
-                    b = hi
-            else:
-                merged.append(_segment((a, b)))
-                a, b = lo, hi
-        merged.append(_segment((a, b)))
-    kept_points = [_segment((p, p)) for p in points
-                   if not any(s.contains_point(p) for s in merged)]
-    return SegmentSet(sorted(merged + kept_points))
+        c = 0 if key[1] else 1
+        rows = sorted([((p0 << k) // q0, (r0 << k) // s0,
+                        (p1 << k) // q1, (r1 << k) // s1, seg)
+                       for seg, (p0, q0, r0, s0, p1, q1, r1, s1) in group],
+                      key=itemgetter(c))
+        first = last = rows[0]
+        for row in rows[1:]:
+            if row[c] > last[c + 2]:
+                runs.append((key, c, first, last))
+                first = last = row
+            elif row[c + 2] > last[c + 2]:
+                last = row
+        runs.append((key, c, first, last))
+    out = [(first[:2] + last[2:4], _segment((first[4][0], last[4][1])))
+           for _, _, first, last in runs]
+    isolated: dict[tuple[int, int], Segment] = {}
+    for seg, (p, q, r, s, *_) in points:
+        kp = (p << k) // q, (r << k) // s
+        if kp not in isolated and not any(
+                A * p * s + B * r * q + C * q * s == 0
+                and first[c] <= kp[c] <= last[c + 2]
+                for (A, B, C), c, first, last in runs):
+            isolated[kp] = seg
+    out += [(kp + kp, seg) for kp, seg in isolated.items()]
+    out.sort(key=itemgetter(0))
+    return SegmentSet([seg for _, seg in out])
 
 
 def graphs_equal(first: SegmentSet, second: SegmentSet) -> bool:

@@ -1,5 +1,6 @@
 """.pwl round trips and the command-line surface, including exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 import icm
-from icm import (ParseError, dump_map_text, make_plmap, parse_map_text, tent)
+from icm import (ParseError, dump_map_text, make_plmap, parse_map_text,
+                 pullback_graph, tent)
 from icm.cli import main
 from conftest import alternating_map, block_swap_pair, invariant_chain_pair
 
@@ -152,6 +154,44 @@ class TestCli:
         fwd_lines = len(ET.fromstring(fwd_svg).findall(count))
         pull_lines = len(ET.fromstring(pull_svg).findall(count))
         assert pull_lines > fwd_lines
+
+    # SHA-256 digests of `graph` CSV output, as the rows came out before
+    # `segment_set` ordered them on integer keys: a change in the canonical
+    # order, or in any row, fails here. The first is also checked in CI.
+    T3_T4_PULLBACK_SHA256 = (
+        "9010df71394483b871f1f71fa8ff79b11180641558aaa3ddd5309b1c437e6049")
+    GRAPH_CSV_SHA256 = {
+        "forward":
+        "5e7ce5dd0a4929eaa05c4ffe3134c005ee02fcfdb295cf552e29a34aa65ce568",
+        "pullback":
+        "a8f1df31a2c584aa6d0eaebd5b4d521f53d6cd7720f57368f753e7603dfabd57"}
+
+    def test_graph_csv_golden_t3_t4(self, maps_dir, capsys):
+        code, out, _ = run_cli(["graph", maps_dir / "T3.pwl",
+                                maps_dir / "T4.pwl", "--kind", "pullback"],
+                               capsys)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == (0, self.T3_T4_PULLBACK_SHA256), digest
+
+    @pytest.mark.parametrize("kind", ["forward", "pullback"])
+    def test_graph_csv_golden(self, tmp_path, capsys, commuting_corpus, kind):
+        """All 169 tent pairs T2..T14 squared, then the commuting corpus
+        pairs whose pullback graph has isolated points, in that order."""
+        pairs = [(tent(n), tent(m)) for n in range(2, 15)
+                 for m in range(2, 15)]
+        pairs += [(f, g) for _, f, g in commuting_corpus
+                  if pullback_graph(f, g).isolated_points()]
+        assert len(pairs) > 169
+        digest = hashlib.sha256()
+        for i, pair in enumerate(pairs):
+            paths = [tmp_path / f"{i}{side}.pwl" for side in "fg"]
+            for path, m in zip(paths, pair):
+                path.write_text(dump_map_text(m))
+            code, out, _ = run_cli(["graph", *paths, "--kind", kind], capsys)
+            assert code == 0, pair
+            digest.update(out.encode())
+        digest = digest.hexdigest()
+        assert digest == self.GRAPH_CSV_SHA256[kind], digest
 
     def test_hats_endpoints_profile(self, maps_dir, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 """Set-valued composition graphs, commutation decisions, hats and endpoints."""
 
+import collections
 import copy
 import math
 import pickle
@@ -7,6 +8,7 @@ import random
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -18,9 +20,10 @@ from icm import (DomainError, PLMap, PreconditionError, ResourceError,
                  orientation, primary_critical_values, profile, pullback_graph,
                  sample_pullback, segment_set, strongly_commute, tent,
                  verify_decomposition, verify_strong_consequences)
+from icm import setvalued
 from icm.core import _interpolate
 from icm.report import Report
-from icm.setvalued import (_segment_pair_intersection,
+from icm.setvalued import (SegmentSet, _segment, _segment_pair_intersection,
                            parametrization_coincidences)
 from conftest import (alternating_map, block_swap_pair, conjugated_tent_pair,
                       coprime_pair, double_reversal_pair, hat_demo_pair,
@@ -109,6 +112,80 @@ def parametric_intersection(p, q):
     return None
 
 
+def reference_line_key(a, b):
+    """The integer line key of two distinct Fraction points, read through
+    the numerator and denominator properties, as it was before `_line_key`
+    took integers."""
+    (x0, y0), (x1, y1) = a, b
+    p0, q0 = x0.numerator, x0.denominator
+    r0, s0 = y0.numerator, y0.denominator
+    p1, q1 = x1.numerator, x1.denominator
+    r1, s1 = y1.numerator, y1.denominator
+    A = (r1 * s0 - r0 * s1) * q0 * q1
+    B = (p0 * q1 - p1 * q0) * s0 * s1
+    C = -((A // q0) * p0 + (B // s0) * r0)
+    d = math.gcd(A, B, C)
+    if A < 0 or (A == 0 and B < 0):
+        d = -d
+    return (A // d, B // d, C // d)
+
+
+def reference_segment_set(raw):
+    """segment_set as it was before it compared integer keys: the point
+    test, the per-line sort and merge, the point dedup and the final sort
+    all compare or hash Fractions, and each point is tested against every
+    merged segment."""
+    proper, points = {}, set()
+    for s in raw:
+        a, b = s
+        if a == b:
+            points.add(a)
+        else:
+            proper.setdefault(reference_line_key(a, b), []).append(s)
+    merged = []
+    for (_, B, _), group in proper.items():
+        c = 0 if B else 1
+        group.sort(key=lambda s: s[0][c])
+        (a, b), *rest = group
+        for lo, hi in rest:
+            if lo[c] <= b[c]:
+                if hi[c] > b[c]:
+                    b = hi
+            else:
+                merged.append(_segment((a, b)))
+                a, b = lo, hi
+        merged.append(_segment((a, b)))
+    kept_points = [_segment((p, p)) for p in points
+                   if not any(s.contains_point(p) for s in merged)]
+    return SegmentSet(sorted(merged + kept_points))
+
+
+def assert_same_canonical(raw):
+    """segment_set(raw) equals reference_segment_set(raw) as a tuple, with
+    the same types for the set, each segment, end and coordinate."""
+    new, old = segment_set(raw), reference_segment_set(raw)
+    assert type(new) is type(old) and tuple(new) == tuple(old), raw
+    shape = lambda graph: [(type(s), *(type(c) for p in s for c in p))
+                           for s in graph]
+    assert shape(new) == shape(old), raw
+    return new
+
+
+def captured_raw_lists(*calls):
+    """The raw lists that the library hands to segment_set while the calls
+    run, each kept as a list."""
+    raws, original = [], setvalued.segment_set
+
+    def spy(raw):
+        raws.append(list(raw))
+        return original(raws[-1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(setvalued, "segment_set", spy)
+        for call in calls:
+            call()
+    return raws
+
+
 @dataclass(frozen=True, order=True)
 class DataclassSegment:
     """Segment as a frozen dataclass, as it was before it became the tuple of
@@ -130,18 +207,7 @@ class DataclassSegment:
         return self.a == self.b
 
     def line_key(self):
-        (x0, y0), (x1, y1) = self.a, self.b
-        p0, q0 = x0.numerator, x0.denominator
-        r0, s0 = y0.numerator, y0.denominator
-        p1, q1 = x1.numerator, x1.denominator
-        r1, s1 = y1.numerator, y1.denominator
-        A = (r1 * s0 - r0 * s1) * q0 * q1
-        B = (p0 * q1 - p1 * q0) * s0 * s1
-        C = -((A // q0) * p0 + (B // s0) * r0)
-        d = math.gcd(A, B, C)
-        if A < 0 or (A == 0 and B < 0):
-            d = -d
-        return (A // d, B // d, C // d)
+        return reference_line_key(self.a, self.b)
 
     def contains_point(self, p):
         a, b = self.a, self.b
@@ -502,6 +568,41 @@ class TestGraphsEqual:
             Segment((half, F(0)), (half, half)),
             Segment((half, F(3, 4)), (half, F(1))))
 
+    def test_covers_segment_matches_run_containment(self):
+        """A canonical set covers a proper segment exactly when one of its
+        runs on the segment's line holds both ends, since other lines meet
+        that line in single points; here the set is canonicalised from
+        every other raw segment of a random raw list, and the segments
+        come from the whole list."""
+        rng = random.Random(20261024)
+        outcomes = collections.Counter()
+        for _ in range(600):
+            raw = random_raw_list(rng)
+            whole, part = segment_set(raw), segment_set(raw[::2])
+            keyed = part._keyed()
+            for s in whole:
+                if s.is_point:
+                    expected = part.contains_point(s.a)
+                else:
+                    expected = any(t.line_key() == s.line_key()
+                                   and t.a <= s.a and s.b <= t.b
+                                   for t in part.proper_segments())
+                assert part.covers_segment(s, keyed) == expected, (part, s)
+                outcomes[s.is_point, expected] += 1
+            assert whole.covers(part)
+        assert min(outcomes.values()) >= 100 and len(outcomes) == 4, outcomes
+
+    def test_isolated_point_covers_no_gap(self):
+        # the gap (10/7, 11/7) between two runs has its midpoint at an
+        # isolated point of the set, which covers no piece of the gap
+        level = F(4, 7)
+        part = segment_set([Segment((F(2, 7), level), (F(10, 7), level)),
+                            Segment((F(11, 7), level), (F(2), level)),
+                            Segment((F(3, 2), level), (F(3, 2), level))])
+        assert len(part.isolated_points()) == 1
+        assert not part.covers_segment(Segment((F(1), level), (F(2), level)))
+        assert part.covers_segment(Segment((F(3, 2), level), (F(3, 2), level)))
+
     def test_covers_segment_finds_its_own_keys(self):
         pull = pullback_graph(tent(4), tent(6))
         fwd = forward_graph(tent(4), tent(6))
@@ -540,6 +641,137 @@ class TestIntegerGraphLayer:
             for s in (*fwd, *pull, *pull.reflected()):
                 assert s == Segment(s.a, s.b) and s.a <= s.b, s
                 assert all(type(c) is F for c in (*s.a, *s.b)), s
+
+
+#: denominators for the random raw lists, from 1 to past 2^64 and 10^30
+RAW_DENOMINATORS = (1, 2, 3, 4, 7, 12, 60, 2**31 - 1, 2**61 - 1,
+                    10**20 + 39, 10**30 + 57)
+
+
+def random_raw_list(rng):
+    """A raw list built through Segment, in shuffled order: one to four
+    lines (sloped, vertical or level), each with its own denominator d
+    from RAW_DENOMINATORS and coordinates on the 1/d grid in [-1, 2], with
+    one to five segments at whole steps along it, so that they overlap,
+    touch, nest or lie apart, some of them twice; points at whole steps
+    along the lines, on the runs or in their gaps, and off every line, some
+    of them twice."""
+    raw, points = [], []
+    for _ in range(rng.randint(1, 4)):
+        d = rng.choice(RAW_DENOMINATORS)
+        grid = lambda lo, hi: F(rng.randint(lo * d, hi * d), d)
+        x, y = grid(-1, 2), grid(-1, 2)
+        shape = rng.randrange(4)  # sloped twice as often
+        dx = F(0) if shape == 1 else F(rng.choice((-1, 1)) * rng.randint(1, 3), d)
+        dy = F(0) if shape == 2 else F(rng.randint(-3, 3) or 1, d)
+        at = lambda t: (x + t * dx, y + t * dy)
+        for _ in range(rng.randint(1, 5)):
+            t0, t1 = rng.sample(range(-4, 9), 2)
+            raw += [Segment(at(t0), at(t1))] * rng.choice((1, 1, 2))
+        points += [at(rng.randint(-6, 10)) for _ in range(rng.randint(0, 3))]
+        points += [(grid(-1, 2), grid(-1, 2)) for _ in range(rng.randint(0, 1))]
+    raw += [Segment(p, p) for p in points for _ in range(rng.choice((1, 1, 2)))]
+    rng.shuffle(raw)
+    return raw
+
+
+def farey_neighbours(Q):
+    """Two pairs of neighbours a/q < a'/q' in the Farey sequence of odd
+    order Q, with a'q - aq' = 1, so that they differ by 1/(q·q') < 1/Q(Q-2):
+    m/(2m + 1) < (m + 1)/(2m + 3) near 1/2 with 2m + 3 = Q, and
+    1/Q < 1/(Q - 1) near 0."""
+    m = (Q - 3) // 2
+    pairs = [(F(m, Q - 2), F(m + 1, Q)), (F(1, Q), F(1, Q - 1))]
+    for lo, hi in pairs:
+        assert hi - lo == F(1, lo.denominator * hi.denominator)
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def tent_raw_lists():
+    """The raw lists that forward_graph and pullback_graph hand to
+    segment_set on all 169 tent pairs T2..T14 squared."""
+    pairs = [(tent(n), tent(m)) for n in range(2, 15) for m in range(2, 15)]
+    return captured_raw_lists(*(partial(build, f, g) for f, g in pairs
+                                for build in (forward_graph, pullback_graph)))
+
+
+class TestIntegerOrderKey:
+    """segment_set on integer keys against the Fraction canonicalisation it
+    replaced, at the bound of the key, and without Fraction comparisons."""
+
+    def test_tent_pairs_match_reference(self, tent_raw_lists):
+        assert len(tent_raw_lists) == 2 * 169
+        for raw in tent_raw_lists:
+            assert_same_canonical(raw)
+
+    def test_differential_mix_matches_reference(self, differential_mix):
+        for f, g, fwd, pull in differential_mix:
+            raws = captured_raw_lists(partial(forward_graph, f, g),
+                                      partial(pullback_graph, f, g),
+                                      pull.reflected)
+            assert len(raws) == 3
+            for raw in (*raws, list(fwd), list(pull)):
+                assert_same_canonical(raw)
+
+    def test_random_raw_lists_match_reference(self):
+        rng = random.Random(20261023)
+        seen = collections.Counter()
+        for _ in range(3000):
+            raw = random_raw_list(rng)
+            out = assert_same_canonical(raw)
+            distinct = set(raw)
+            points = {s for s in distinct if s.is_point}
+            kept = {s for s in out if s.is_point}
+            seen["uncovered points"] += len(kept)
+            seen["covered points"] += len(points - kept)
+            seen["repeats"] += len(raw) - len(distinct)
+            seen["merges"] += len(distinct - points) > len(out) - len(kept)
+            seen["vertical"] += any(s.a[0] == s.b[0] for s in out
+                                    if not s.is_point)
+            seen["level"] += any(s.a[1] == s.b[1] for s in out
+                                 if not s.is_point)
+            seen["outside"] += any(not 0 <= c <= 1 for s in raw
+                                   for p in s for c in p)
+            seen["huge"] += any(c.denominator == 10**30 + 57 for s in raw
+                                for p in s for c in p)
+        assert min(seen.values()) >= 300, seen
+
+    @pytest.mark.parametrize("Q", [2**61 - 1, 10**30 + 57])
+    def test_farey_neighbours_at_the_largest_denominator(self, Q):
+        """Runs that end and start at neighbours, points at them, and a run
+        against a point at its neighbouring end, along x (a level line),
+        along y (a vertical line, whose x has denominator 3) and along both
+        (the diagonal): every input is kept apart and in order."""
+        third = F(1, 3)
+        for lo, hi in farey_neighbours(Q):
+            for at in (lambda u: (u, third), lambda u: (third, u),
+                       lambda u: (u, u)):
+                run_lo, run_hi = Segment(at(F(0)), at(lo)), Segment(at(hi),
+                                                                    at(F(1)))
+                point_lo, point_hi = (Segment(at(u), at(u)) for u in (lo, hi))
+                for raw, expected in (
+                        ([run_hi, run_lo], (run_lo, run_hi)),
+                        ([point_hi, point_lo, point_hi], (point_lo, point_hi)),
+                        ([point_hi, run_lo, point_lo], (run_lo, point_hi)),
+                        ([run_hi, point_lo, point_hi], (point_lo, run_hi))):
+                    assert segment_set(raw).segments == expected, (lo, raw)
+                    assert_same_canonical(raw)
+
+    def test_no_fraction_comparison_or_hash(self, tent_raw_lists, monkeypatch):
+        calls = collections.Counter()
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+                     "_richcmp", "__hash__"):
+            def counted(*args, _name=name, _method=getattr(F, name)):
+                calls[_name] += 1
+                return _method(*args)
+            monkeypatch.setattr(F, name, counted)
+        assert F(1, 2) < F(2, 3) and hash(F(1, 2)) == hash(F(2, 4))
+        assert calls == {"__lt__": 1, "_richcmp": 1, "__hash__": 2}
+        calls.clear()
+        for raw in tent_raw_lists:
+            segment_set(raw)
+        assert not calls, calls
 
 
 class TestIncidence:
