@@ -36,8 +36,9 @@ def _check_cap(count: int, needs: str) -> None:
     exceeds the cap: ICM_BREAKPOINT_CAP, read at each call, else the default.
     Called only where a size is known before anything is built: breakpoints
     in `tent`, `compose` and `iterate`, laps in `entropy_lap`, cells in
-    `pullback_graph`, hats in `hats`, segment pairs in
-    `parametrization_coincidences` and grid points in the oracle.
+    `pullback_graph`, matrix entries in `markov_partition`, hats in `hats`,
+    segment pairs in `parametrization_coincidences` and grid points in the
+    oracle.
     """
     raw = os.environ.get("ICM_BREAKPOINT_CAP")
     try:

@@ -8,9 +8,10 @@ final logarithm, and the Perron root carries a certified rational bracket.
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .core import ONE, ZERO, PLMap, _check_cap
@@ -67,7 +68,7 @@ def entropy_lap(f: PLMap, k_max: int) -> LapSequence:
     for k in range(1, k_max + 1):
         cut: dict[tuple[Fraction, Fraction], int] = {}
         for (lo, hi), mult in images.items():
-            i, j = bisect.bisect_right(crit, lo), bisect.bisect_left(crit, hi)
+            i, j = bisect_right(crit, lo), bisect_left(crit, hi)
             values = [f._value(lo), *crit_values[i:j], f._value(hi)]
             for a, b in zip(values, values[1:]):
                 key = (a, b) if a < b else (b, a)
@@ -102,7 +103,8 @@ def markov_partition(f: PLMap, max_points: int = 256) -> MarkovData | None:
     """Partition induced by the forward orbit of the breakpoints, if finite.
 
     Returns None when the orbit closure exceeds ``max_points`` (the map is
-    then not Markov within the configured bound).
+    then not Markov within the configured bound). The breakpoint cap bounds
+    the n^2 entries of the matrix of the n cells before it is built.
     """
     pts = set(f.xs)
     # f maps every older point into the set already, so only the points the
@@ -118,14 +120,15 @@ def markov_partition(f: PLMap, max_points: int = 256) -> MarkovData | None:
     partition = sorted(pts)
     rank = {x: i for i, x in enumerate(partition)}
     n = len(partition) - 1
-    matrix = []
-    for a, b in zip(partition, partition[1:]):
-        # f(a), f(b) are partition points; the cells between them are covered
-        i, j = sorted((rank[f._value(a)], rank[f._value(b)]))
-        matrix.append((0,) * i + (1,) * (j - i) + (0,) * (n - j))
-    rho_lo, rho_hi = _perron_bracket(tuple(matrix))
+    _check_cap(n * n, f"Markov matrix needs {n * n} entries")
+    # f(a), f(b) are partition points; the cells between them are covered
+    runs = [tuple(sorted((rank[f._value(a)], rank[f._value(b)])))
+            for a, b in zip(partition, partition[1:])]
+    matrix = tuple((0,) * i + (1,) * (j - i) + (0,) * (n - j)
+                   for i, j in runs)
+    rho_lo, rho_hi = _perron_bracket(runs)
     mid = (rho_lo + rho_hi) / 2
-    return MarkovData(tuple(partition), tuple(matrix),
+    return MarkovData(tuple(partition), matrix,
                       float(mid), float((rho_hi - rho_lo) / 2))
 
 
@@ -153,92 +156,54 @@ def _entropy_of(f: PLMap, k_max: int) -> float:
 
 # -- Perron root with certified bracket ------------------------------------------
 
-def _strong_components(adj: list[list[int]]) -> list[list[int]]:
-    """Tarjan's strongly connected components, iteratively."""
-    n = len(adj)
-    index: list[int | None] = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(ptr, len(adj[v])):
-                w = adj[v][k]
-                if index[w] is None:
-                    work[-1][1] = k + 1
-                    work.append([w, 0])
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
 def _perron_bracket(
-        matrix: tuple[tuple[int, ...], ...]) -> tuple[Fraction, Fraction]:
-    """Certified rational bracket for the spectral radius of a nonnegative
-    integer matrix.
+        runs: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
+    """Certified rational bracket for the spectral radius of a 0/1 matrix
+    whose row i is one run of ones, in the columns lo <= j < hi of
+    runs[i] = (lo, hi).
 
-    The radius is the maximum over strongly connected components; on each
-    component the identity is added (making it primitive), and power
+    The radius is the maximum over strongly connected components. Warshall's
+    closure on bitsets finds them: bit j of reach[i] is set when a path leads
+    from i to j. Two vertices on cycles share a component exactly when they
+    reach the same set; a vertex on no cycle is a zero block, of root 0. On
+    each component the identity is added (making it primitive), and power
     iteration with exact min/max row quotients gives valid bounds for any
     positive vector, so the bracket is sound by construction.
     """
-    n = len(matrix)
-    if n == 0:
-        return Fraction(0), Fraction(0)
-    adj = [[j for j in range(n) if matrix[i][j]] for i in range(n)]
+    reach = [(1 << hi) - (1 << lo) for lo, hi in runs]
+    for k in range(len(reach)):
+        rk, bit = reach[k], 1 << k
+        reach = [r | rk if r & bit else r for r in reach]
+    blocks: dict[int, list[int]] = {}
+    for v, r in enumerate(reach):
+        if r >> v & 1:
+            blocks.setdefault(r, []).append(v)
     best_lo, best_hi = Fraction(0), Fraction(0)
-    for comp in _strong_components(adj):
-        local = {v: k for k, v in enumerate(comp)}
-        rows = [[(local[w], matrix[v][w]) for w in adj[v] if w in local]
-                for v in comp]
-        lo, hi = _collatz_bracket(rows)
+    for members in blocks.values():
+        lo, hi = _collatz_bracket([(bisect_left(members, a),
+                                    bisect_left(members, b))
+                                   for a, b in (runs[v] for v in members)])
         best_lo = max(best_lo, lo - 1)
         best_hi = max(best_hi, hi - 1)
     return best_lo, best_hi
 
 
 def _collatz_bracket(
-        rows: list[list[tuple[int, int]]]) -> tuple[Fraction, Fraction]:
-    """Bracket for the Perron root of I + B, where B is an irreducible block
-    given by the (column, entry) pairs of its nonzero entries, row by row.
+        spans: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
+    """Bracket for the Perron root of I + B, where B is an irreducible 0/1
+    block whose row v is one run of ones, in the columns a <= j < b of
+    spans[v] = (a, b). One round y = (I + B)x is a prefix sum.
 
     Power iteration runs on positive integer vectors, cut back to about 96
     bits between rounds and floored at 1. The min and max of the exact
     quotients (Bx + x)_i / x_i are Collatz-Wielandt bounds for every positive
     x, so the cut cannot invalidate them.
     """
-    x = [1] * len(rows)
+    x = [1] * len(spans)
     best_lo, best_hi = Fraction(0), None
     for _ in range(256):
-        y = [xi + sum(w * x[j] for j, w in row) for xi, row in zip(x, rows)]
+        pre = list(accumulate(x, initial=0))
+        y = [xv + pre[b] - pre[a] for xv, (a, b) in zip(x, spans)]
         # argmin / argmax of y_i / x_i by cross-multiplication
         i_lo = i_hi = 0
         for i in range(1, len(y)):
@@ -248,11 +213,9 @@ def _collatz_bracket(
                 i_hi = i
         lo, hi = Fraction(y[i_lo], x[i_lo]), Fraction(y[i_hi], x[i_hi])
         best_lo = max(best_lo, lo)
-        best_hi = min(best_hi, hi) if best_hi is not None else hi
+        best_hi = hi if best_hi is None else min(best_hi, hi)
         if best_hi - best_lo < PERRON_TOLERANCE:
-            break
+            return best_lo, best_hi
         shift = max(max(y).bit_length() - 96, 0)
         x = [max(v >> shift, 1) for v in y]
-    if best_hi is None or best_hi - best_lo >= PERRON_TOLERANCE:
-        raise InternalInvariantError("Perron bracket failed to converge")
-    return best_lo, best_hi
+    raise InternalInvariantError("Perron bracket failed to converge")

@@ -90,17 +90,6 @@ class Segment(tuple):
         return (a <= p <= b and (p[0] - a[0]) * (b[1] - a[1])
                 == (p[1] - a[1]) * (b[0] - a[0]))
 
-    def param_of(self, p: Point) -> Fraction:
-        """Parameter t with a + t*(b-a) = p, assuming p on the supporting line."""
-        dx, dy = self.b[0] - self.a[0], self.b[1] - self.a[1]
-        if dx != 0:
-            return (p[0] - self.a[0]) / dx
-        return (p[1] - self.a[1]) / dy
-
-    def at(self, t: Fraction) -> Point:
-        return (self.a[0] + t * (self.b[0] - self.a[0]),
-                self.a[1] + t * (self.b[1] - self.a[1]))
-
 
 #: A Segment from the pair of its ends, built by the library from Fractions
 #: in lexicographic order: nothing is coerced or compared. User input goes
@@ -175,11 +164,14 @@ class SegmentSet(tuple):
             return False
         key = s.line_key()
         pa, qa, ra, ta, pb, qb, rb, tb = _ratios(s)
+        (ax, ay), (bx, by) = s
+        dx, dy = bx - ax, by - ay
         cuts: set[Fraction] = {ZERO, ONE}
         for t, (A, B, C) in keyed:
             if (A, B, C) == key:
-                for p in (t.a, t.b):
-                    u = s.param_of(p)
+                # the parameter u of p = a + u·(b − a) on the common line
+                for px, py in t:
+                    u = (px - ax) / dx if dx else (py - ay) / dy
                     if ZERO < u < ONE:
                         cuts.add(u)
                 continue
@@ -191,8 +183,8 @@ class SegmentSet(tuple):
             if ZERO < u < ONE:
                 cuts.add(u)
         grid = sorted(cuts)
-        return all(_on_keyed(keyed, s.at((u0 + u1) / 2))
-                   for u0, u1 in zip(grid, grid[1:]))
+        mids = ((u0 + u1) / 2 for u0, u1 in zip(grid, grid[1:]))
+        return all(_on_keyed(keyed, (ax + u * dx, ay + u * dy)) for u in mids)
 
     def covers(self, other: "SegmentSet") -> bool:
         keyed = self._keyed()

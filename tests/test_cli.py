@@ -435,6 +435,21 @@ class TestCli:
         code, out, _ = run_cli(["entropy", path], capsys)
         assert (code, out) == (0, "log 300 ~= 5.70378247466\n")
 
+    def test_markov_matrix_bounded_by_cap(self, tmp_path, capsys,
+                                          monkeypatch):
+        # T12's breakpoints are closed under it: no orbit round checks a
+        # bound, but its 12 cells need 144 matrix entries
+        path = tmp_path / "T12.pwl"
+        path.write_text(dump_map_text(tent(12)))
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "143")
+        code, out, err = run_cli(["entropy", path], capsys)
+        assert (code, out) == (4, "")
+        assert err == ("error: Markov matrix needs 144 entries, "
+                       "above the cap 143\n")
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "144")
+        assert run_cli(["entropy", path], capsys)[:2] == (
+            0, "log 12 ~= 2.48490664979\n")
+
     @pytest.mark.parametrize("cap", ["0", "-3", "many"])
     def test_non_positive_cap_exit_2(self, maps_dir, capsys, monkeypatch, cap):
         monkeypatch.setenv("ICM_BREAKPOINT_CAP", cap)

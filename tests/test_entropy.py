@@ -1,17 +1,23 @@
 """Lap counts, Markov partitions, Perron roots, and the set-valued formula."""
 
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 
-from icm import (DomainError, MarkovData, PLMap, PreconditionError,
-                 ResourceError, compose, conjugate, entropy_lap, entropy_markov,
-                 entropy_setvalued, identity_map, iterate, lap, make_plmap,
-                 markov_partition, tent)
+from icm import (DomainError, InternalInvariantError, MarkovData, PLMap,
+                 PreconditionError, ResourceError, compose, conjugate,
+                 entropy_lap, entropy_markov, entropy_setvalued, identity_map,
+                 iterate, lap, make_plmap, markov_partition, tent)
 from icm.entropy import PERRON_TOLERANCE, _perron_bracket
 from conftest import invariant_chain_pair, random_homeo, random_onto_map
+from perron_reference import _perron_bracket as reference_bracket
+from perron_reference import _strong_components
 
 F = Fraction
 
@@ -183,6 +189,15 @@ class TestMarkov:
         assert data is not None
         assert list(data.partition) == _whole_set_closure(f, 16) == list(f.xs)
 
+    def test_matrix_bounded_by_cap(self, monkeypatch):
+        # T12's 13 breakpoints are closed under it: 12 cells, 144 entries
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "143")
+        with pytest.raises(ResourceError,
+                           match="needs 144 entries, above the cap 143"):
+            markov_partition(tent(12))
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "144")
+        assert len(markov_partition(tent(12)).matrix) == 12
+
     def test_markov_agrees_with_lap_growth(self):
         k = 6
         for n in range(2, 6):
@@ -191,18 +206,42 @@ class TestMarkov:
             assert abs(entropy_markov(data) - est) <= 2 * math.log(lap(tent(n))) / k
 
 
+def _runs(matrix) -> list[tuple[int, int]]:
+    """The (lo, hi) run of ones of each row of a 0/1 matrix."""
+    runs = []
+    for row in matrix:
+        lo = row.index(1)
+        hi = lo + row[lo:].index(0) if 0 in row[lo:] else len(row)
+        assert not any(row[hi:]), "a row that is not one run"
+        runs.append((lo, hi))
+    return runs
+
+
+def _dense(runs) -> tuple[tuple[int, ...], ...]:
+    n = len(runs)
+    return tuple(tuple(int(lo <= j < hi) for j in range(n)) for lo, hi in runs)
+
+
 class TestPerronBracket:
     def test_golden_mean_exact(self):
-        lo, hi = _perron_bracket(((1, 1), (1, 0)))
+        lo, hi = _perron_bracket([(0, 2), (0, 1)])
         assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
         assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
         assert hi - lo < PERRON_TOLERANCE
 
     def test_reducible_takes_largest_component(self):
         # components {0, 1} with root 2 and {2, 3} (a 2-cycle) with root 1
-        lo, hi = _perron_bracket(((1, 1, 1, 0), (1, 1, 0, 0),
-                                  (0, 0, 0, 1), (0, 0, 1, 0)))
+        lo, hi = _perron_bracket([(0, 3), (0, 2), (3, 4), (2, 3)])
         assert lo <= 2 <= hi
+        assert hi - lo < PERRON_TOLERANCE
+
+    @pytest.mark.xfail(strict=True, raises=InternalInvariantError,
+                       reason="ROADMAP item 2: 256 rounds leave the width of "
+                              "this cycle's bracket above the tolerance")
+    def test_cycle_with_a_chord_converges(self):
+        # the cycle 0 -> 1 -> ... -> 7 -> 0 plus the chord 0 -> 2
+        runs = [(1, 3), *((i + 1, i + 2) for i in range(1, 7)), (0, 1)]
+        lo, hi = _perron_bracket(runs)
         assert hi - lo < PERRON_TOLERANCE
 
 
@@ -239,10 +278,96 @@ class TestPerronBracketExact:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, None])
     def test_bracket_encloses_a_sign_change(self, n):
         matrix = self.PLASTIC if n is None else markov_partition(tent(n)).matrix
-        lo, hi = _perron_bracket(matrix)
+        lo, hi = _perron_bracket(_runs(matrix))
         assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
         assert _char_poly_at(matrix, lo) <= 0 <= _char_poly_at(matrix, hi)
         assert hi - lo < PERRON_TOLERANCE
+
+
+@cache
+def _corpus_pairs_maps() -> tuple[PLMap, ...]:
+    """The 48 maps of the benchmark's corpus-pairs workload: each base pair
+    conjugated by three homeomorphisms, drawn as the benchmark draws them."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("corpus_workloads", path)
+    wl = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)  # its dataclasses look themselves up there
+    draw = random.Random(wl.CORPUS_CATALOGUE_SEED)
+    bases = [(tent(n), tent(m)) for n, m in wl.CORPUS_TENTS]
+    bases += [tuple(map(make_plmap, pair)) for pair in wl.NAMED_PAIRS.values()]
+    maps = []
+    for f, g in bases:
+        for interior in range(3):
+            h = PLMap(tuple(wl.random_homeo(draw, interior, interior == 2)))
+            maps += [conjugate(f, h), conjugate(g, h)]
+    assert len(maps) == 48
+    return tuple(maps)
+
+
+def _random_runs(rng: random.Random) -> list[tuple[int, int]]:
+    """Up to 10 rows, each one run of ones, mostly short ones."""
+    n = rng.randint(1, 10)
+    runs = []
+    for _ in range(n):
+        lo = rng.randrange(n)
+        runs.append((lo, rng.randint(lo + 1, min(n, lo + 3))))
+    return runs
+
+
+def _reference_markov(f: PLMap) -> MarkovData | None:
+    """MarkovData as the dense route builds it: the whole-set closure, the
+    cover matrix entry by entry and the reference bracket."""
+    partition = _whole_set_closure(f, 256)
+    if partition is None:
+        return None
+    cells = list(zip(partition, partition[1:]))
+    images = [sorted((f(a), f(b))) for a, b in cells]
+    matrix = tuple(tuple(int(lo <= c and d <= hi) for c, d in cells)
+                   for lo, hi in images)
+    rho_lo, rho_hi = reference_bracket(matrix)
+    return MarkovData(tuple(partition), matrix, float((rho_lo + rho_hi) / 2),
+                      float((rho_hi - rho_lo) / 2))
+
+
+class TestPerronDifferential:
+    """The run bracket against the dense reference (Tarjan's components and
+    (column, entry) rows): the same Fractions, or the same exception."""
+
+    @staticmethod
+    def _outcome(bracket, matrix):
+        try:
+            return bracket(matrix)
+        except InternalInvariantError as exc:
+            return type(exc)
+
+    def test_matches_dense_reference(self):
+        rng = random.Random(24)
+        maps = [tent(n) for n in range(2, 15)] + list(_corpus_pairs_maps())
+        cases = [_runs(markov_partition(f).matrix) for f in maps]
+        cases += [[(0, 2), (0, 1)], [(0, 3), (0, 2), (3, 4), (2, 3)],
+                  _runs(TestPerronBracketExact.PLASTIC), [],
+                  [(1, 2), (1, 2)]]  # 0 lies on no cycle, a zero block
+        cases += [_random_runs(rng) for _ in range(3000)]
+        reducible = 0
+        for runs in cases:
+            dense = _dense(runs)
+            adj = [[j for j, e in enumerate(row) if e] for row in dense]
+            reducible += len(_strong_components(adj)) > 1
+            got = self._outcome(_perron_bracket, runs)
+            assert got == self._outcome(reference_bracket, dense), runs
+            assert isinstance(got, type) or all(
+                type(v) is Fraction for v in got)
+        assert reducible >= 300
+
+    def test_markov_data_matches_dense_route(self, strongly_commuting_corpus):
+        maps = [tent(n) for n in range(2, 15)] + list(_corpus_pairs_maps())
+        maps += [m for _, f, g in strongly_commuting_corpus for m in (f, g)]
+        for f in maps:
+            data, ref = markov_partition(f), _reference_markov(f)
+            # NamedTuple equality compares the floats exactly
+            assert data == ref, f
+            assert data is None or list(map(type, data)) == list(
+                map(type, ref)), f
 
 
 class TestSetValued:

@@ -93,22 +93,31 @@ def parametric_intersection(p, q):
     """Reference intersection of two proper segments, by their parameters."""
     d1 = (p.b[0] - p.a[0], p.b[1] - p.a[1])
     d2 = (q.b[0] - q.a[0], q.b[1] - q.a[1])
+
+    def param_of(point):  # t with p.a + t*d1 = point, on p's line
+        if d1[0]:
+            return (point[0] - p.a[0]) / d1[0]
+        return (point[1] - p.a[1]) / d1[1]
+
+    def at(t):
+        return (p.a[0] + t * d1[0], p.a[1] + t * d1[1])
+
     denom = d1[0] * d2[1] - d1[1] * d2[0]
     if denom == 0:
         if _cross(p.a, p.b, q.a) != 0:
             return None
-        t0, t1 = sorted((p.param_of(q.a), p.param_of(q.b)))
+        t0, t1 = sorted((param_of(q.a), param_of(q.b)))
         lo, hi = max(t0, F(0)), min(t1, F(1))
         if lo > hi:
             return None
         if lo == hi:
-            return ("point", p.at(lo))
-        return ("overlap", p.at(lo), p.at(hi))
+            return ("point", at(lo))
+        return ("overlap", at(lo), at(hi))
     rx, ry = q.a[0] - p.a[0], q.a[1] - p.a[1]
     t = (rx * d2[1] - ry * d2[0]) / denom
     u = (rx * d1[1] - ry * d1[0]) / denom
     if 0 <= t <= 1 and 0 <= u <= 1:
-        return ("point", p.at(t))
+        return ("point", at(t))
     return None
 
 
