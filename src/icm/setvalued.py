@@ -44,9 +44,9 @@ def _line_key(p0: int, q0: int, r0: int, s0: int,
     return (A // d, B // d, C // d)
 
 
-def _ratios(s: Segment) -> tuple[int, ...]:
-    """The numerators and denominators of s's ends, as `_line_key` takes
-    them."""
+def _ratios(s: tuple[Point, Point]) -> tuple[int, ...]:
+    """The numerators and denominators of the ends of s, a Segment or a
+    plain pair, as `_line_key` takes them."""
     (x0, y0), (x1, y1) = s
     return (*x0.as_integer_ratio(), *y0.as_integer_ratio(),
             *x1.as_integer_ratio(), *y1.as_integer_ratio())
@@ -91,15 +91,10 @@ class Segment(tuple):
                 == (p[1] - a[1]) * (b[0] - a[0]))
 
 
-#: A Segment from the pair of its ends, built by the library from Fractions
+#: A Segment from the pair of its ends, built by `segment_set` from Fractions
 #: in lexicographic order: nothing is coerced or compared. User input goes
 #: through Segment.
 _segment = partial(tuple.__new__, Segment)
-
-
-def _ordered(a: Point, b: Point) -> Segment:
-    """The library-built segment between two points in either order."""
-    return _segment((a, b) if a < b else (b, a))
 
 
 def _on_keyed(keyed: list[tuple[Segment, tuple[int, int, int]]],
@@ -191,14 +186,15 @@ class SegmentSet(tuple):
         return all(self.covers_segment(s, keyed) for s in other)
 
     def reflected(self) -> "SegmentSet":
-        return segment_set(_ordered((s.a[1], s.a[0]), (s.b[1], s.b[0]))
-                           for s in self)
+        return segment_set(((y0, x0), (y1, x1))
+                           for (x0, y0), (x1, y1) in self)
 
 
-def segment_set(raw: Iterable[Segment]) -> SegmentSet:
+def segment_set(raw: Iterable[tuple[Point, Point]]) -> SegmentSet:
     """Canonicalize: merge touching collinear segments, drop covered points.
-    Only user input brings covered points: `pullback_graph` emits none,
-    and the mirror image of a canonical set has none.
+    A piece is a pair of ends in either order, which their integer keys
+    (below) orient. Only user input brings covered points: `pullback_graph`
+    emits none, and the mirror image of a canonical set has none.
 
     The result depends only on the point set X that the input covers, so two
     canonical sets are equal as sets exactly when they are equal as tuples.
@@ -226,15 +222,19 @@ def segment_set(raw: Iterable[Segment]) -> SegmentSet:
         else:
             lines.setdefault(key, []).append((seg, ints))
     k = 2 * Q.bit_length()
-    # a row is the keys (x0, y0, x1, y1) of a segment's ends, and the segment
+    # a row is the keys (x0, y0, x1, y1) of a piece's ends, then the ends,
+    # the lower end first
     runs: list[tuple] = []  # (line key, c, first row, the row ending the run)
     for key, group in lines.items():
         # one coordinate orders a line's points: y on a vertical line, else x
         c = 0 if key[1] else 1
-        rows = sorted([((p0 << k) // q0, (r0 << k) // s0,
-                        (p1 << k) // q1, (r1 << k) // s1, seg)
-                       for seg, (p0, q0, r0, s0, p1, q1, r1, s1) in group],
-                      key=itemgetter(c))
+        rows = []
+        for (a, b), (p0, q0, r0, s0, p1, q1, r1, s1) in group:
+            x0, y0 = (p0 << k) // q0, (r0 << k) // s0
+            x1, y1 = (p1 << k) // q1, (r1 << k) // s1
+            rows.append((x0, y0, x1, y1, a, b) if (x0, y0) < (x1, y1)
+                        else (x1, y1, x0, y0, b, a))
+        rows.sort(key=itemgetter(c))
         first = last = rows[0]
         for row in rows[1:]:
             if row[c] > last[c + 2]:
@@ -243,17 +243,17 @@ def segment_set(raw: Iterable[Segment]) -> SegmentSet:
             elif row[c + 2] > last[c + 2]:
                 last = row
         runs.append((key, c, first, last))
-    out = [(first[:2] + last[2:4], _segment((first[4][0], last[4][1])))
+    out = [(first[:2] + last[2:4], _segment((first[4], last[5])))
            for _, _, first, last in runs]
-    isolated: dict[tuple[int, int], Segment] = {}
-    for seg, (p, q, r, s, *_) in points:
+    isolated: dict[tuple[int, int], Point] = {}
+    for (a, _), (p, q, r, s, *_) in points:
         kp = (p << k) // q, (r << k) // s
         if kp not in isolated and not any(
                 A * p * s + B * r * q + C * q * s == 0
                 and first[c] <= kp[c] <= last[c + 2]
                 for (A, B, C), c, first, last in runs):
-            isolated[kp] = seg
-    out += [(kp + kp, seg) for kp, seg in isolated.items()]
+            isolated[kp] = a
+    out += [(kp + kp, _segment((a, a))) for kp, a in isolated.items()]
     out.sort(key=itemgetter(0))
     return SegmentSet([seg for _, seg in out])
 
@@ -297,22 +297,21 @@ def forward_polyline(f: PLMap, g: PLMap) -> list[tuple[Fraction, Point]]:
 def forward_graph(f: PLMap, g: PLMap) -> SegmentSet:
     """Graph of the set-valued map f∘g⁻¹ as the polyline {(g(t), f(t))}."""
     vertices = [p for _, p in forward_polyline(f, g)]
-    return segment_set(_ordered(a, b) for a, b in zip(vertices, vertices[1:]))
+    return segment_set(zip(vertices, vertices[1:]))
 
 
 def _value_pieces(m: PLMap, scale: int) -> list[tuple]:
-    """m's pieces as (lo, x_lo, hi, x_hi, rises, stop_lo, stop_hi): the end
-    values times ``scale`` in increasing order, integers, with their
-    abscissas, whether the piece rises, and whether each end is a stop of
-    m. ``scale`` is a multiple of every value's denominator. A stop is 0, 1
-    or a turn: a breakpoint where every piece of m leaves the value the
-    same way."""
+    """m's pieces as (lo, x_lo, hi, x_hi, stop_lo, stop_hi): the end values
+    times ``scale`` in increasing order, integers, with their abscissas and
+    whether each end is a stop of m. ``scale`` is a multiple of every
+    value's denominator. A stop is 0, 1 or a turn: a breakpoint where every
+    piece of m leaves the value the same way."""
     pts = m.points
     vals = [y.numerator * (scale // y.denominator) for _, y in pts]
     rises = [v0 < v1 for v0, v1 in zip(vals, vals[1:])]
     stops = [True, *[r != s for r, s in zip(rises, rises[1:])], True]
-    return [(v0, x0, v1, x1, True, stops[i], stops[i + 1]) if r
-            else (v1, x1, v0, x0, False, stops[i + 1], stops[i])
+    return [(v0, x0, v1, x1, stops[i], stops[i + 1]) if r
+            else (v1, x1, v0, x0, stops[i + 1], stops[i])
             for i, (r, v0, v1, (x0, _), (x1, _))
             in enumerate(zip(rises, vals, vals[1:], pts, pts[1:]))]
 
@@ -324,8 +323,7 @@ def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
     monotone, so the zero set there is {(f⁻¹(w), g⁻¹(w))} for w in the common
     value range [lo, hi] of the two pieces, lo the larger of their minima
     and hi the smaller of their maxima. When lo < hi it is the segment from
-    (f⁻¹(lo), g⁻¹(lo)) to (f⁻¹(hi), g⁻¹(hi)), whose ends come in
-    lexicographic order when f's piece rises and in reverse when it falls.
+    (f⁻¹(lo), g⁻¹(lo)) to (f⁻¹(hi), g⁻¹(hi)).
 
     When lo == hi = w the ranges touch, at an end x of f's piece and an end
     u of g's piece, which leave w one upward and one downward. Every cell
@@ -343,9 +341,9 @@ def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
     _check_cap(cells, f"pullback graph needs {cells} cells")
     L = math.lcm(*[y.denominator for m in (f, g) for _, y in m.points])
     g_pieces = _value_pieces(g, L)
-    pieces: list[Segment] = []
-    for f_lo, xa, f_hi, xb, rises, f_stop_a, f_stop_b in _value_pieces(f, L):
-        for g_lo, ua, g_hi, ub, _, g_stop_a, g_stop_b in g_pieces:
+    pieces: list[tuple[Point, Point]] = []
+    for f_lo, xa, f_hi, xb, f_stop_a, f_stop_b in _value_pieces(f, L):
+        for g_lo, ua, g_hi, ub, g_stop_a, g_stop_b in g_pieces:
             # lo and hi are each an end of the piece that the comparison
             # picks, and of the other piece too when the two ends are equal;
             # only a crossing inside the other piece is interpolated.
@@ -363,14 +361,14 @@ def pullback_graph(f: PLMap, g: PLMap) -> SegmentSet:
                          else _interpolate(g_lo, ua, g_hi, ub, hi))
                 else:
                     q = (_interpolate(f_lo, xa, f_hi, xb, hi), ub)
-                pieces.append(_segment((p, q) if rises else (q, p)))
+                pieces.append((p, q))
             elif lo == hi:
                 # f's minimum is g's maximum, or f's maximum is g's minimum
                 if lo_on_f:
                     if f_stop_a and g_stop_b:
-                        pieces.append(_segment(((xa, ub), (xa, ub))))
+                        pieces.append(((xa, ub), (xa, ub)))
                 elif f_stop_b and g_stop_a:
-                    pieces.append(_segment(((xb, ua), (xb, ua))))
+                    pieces.append(((xb, ua), (xb, ua)))
     return segment_set(pieces)
 
 
@@ -536,7 +534,7 @@ def parametrization_coincidences(f: PLMap, g: PLMap):
     n = len(vertices) - 1
     pairs = n * (n - 1) // 2
     _check_cap(pairs, f"coincidences need {pairs} segment pairs")
-    pieces = [_ordered(a, b) for a, b in zip(vertices, vertices[1:])]
+    pieces = [Segment(a, b) for a, b in zip(vertices, vertices[1:])]
     keys = [s.line_key() for s in pieces]
     points: set[Point] = set()
     overlaps: list[tuple[Point, Point]] = []

@@ -17,7 +17,8 @@ from icm import (FULL, Decomposition, Interval, InternalInvariantError,
 from icm.core import _interpolate
 from icm.decompose import (REVERSING, _case_a_points, _halves_invariant,
                            _has_invariant_prefix, _has_invariant_suffix,
-                           _is_primary, _running_max_vertices)
+                           _has_swap_structure, _is_primary,
+                           _running_max_vertices)
 from conftest import (block_swap_pair, double_reversal_pair, glued_pair,
                       invariant_chain_pair, random_diagonal_map, random_homeo,
                       random_into_map, random_onto_map, wiggly_staircase_map)
@@ -111,6 +112,33 @@ class TestOrientation:
         # no invariant prefix: the invariant suffix [1/2, 1] decides
         assert orientation(make_plmap([(0, 0), ("1/2", 1), (1, "1/2")])) \
             == "preserving"
+
+    @pytest.mark.parametrize("points", [
+        # x = 0 gives y = min f([0, 0]) = 1/2, but max f([1/2, 1]) = 1 >= y
+        [(0, "1/2"), ("1/4", 1), ("1/2", 0), ("3/4", 1), (1, "1/2")],
+        # x = 0 gives y = min f([0, 0]) = 0 <= x
+        [(0, 0), ("1/6", "5/6"), ("1/3", "1/3"), ("2/3", 1), (1, 0)]])
+    def test_degenerate_when_no_rule_applies(self, points):
+        """An onto map that is not open, has no invariant prefix or suffix,
+        no exacting route and no swap structure is degenerate."""
+        f = make_plmap(points)
+        assert f.is_onto() and not f.is_open_on(FULL, FULL)
+        assert not (_has_invariant_prefix(f) or _has_invariant_suffix(f))
+        assert primary_critical_values(f).exacting == (None, None)
+        assert not _has_swap_structure(f)
+        assert orientation(f) == "degenerate"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "_has_swap_structure gives up after 2·|f| + 8 rounds, and here its "
+        "iteration x = 0, 1/3, 2/5, 31/75, ... tends to 5/12 without "
+        "reaching it"))
+    def test_swap_found_when_the_iteration_only_converges(self):
+        f = make_plmap([(0, "2/3"), ("5/12", "7/12"), ("1/2", 1),
+                        ("7/12", "5/12"), (1, 0)])
+        # f exchanges the prefix [0, 5/12] and the suffix [7/12, 1]
+        assert f.image(interval(0, "5/12")) == interval("7/12", "2/3")
+        assert f.image(interval("7/12", 1)).hi == F(5, 12)
+        assert _has_swap_structure(f)
 
     def test_pure_flip_not_preserving(self):
         flip = make_plmap([(0, 1), (1, 0)])

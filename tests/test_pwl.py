@@ -8,7 +8,8 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from icm import DomainError, PLMap, ParseError, parse_map_text, rat
+from icm import (DomainError, PLMap, ParseError, dump_map_text,
+                 parse_map_text, rat, read_map, tent, write_map)
 from icm.core import _quad, _straight
 from conftest import fraction_straight
 
@@ -283,3 +284,19 @@ class TestParser:
             assert got == outcome(reference_points, points)
             failed += got[0] != "ok"
         assert failed > 300
+
+
+class TestWriter:
+    def test_write_then_read_gives_an_equal_map(self, tmp_path):
+        rng = random.Random(2205)
+        maps = [tent(n) for n in (2, 3, 7)]
+        maps += [PLMap(_valid_points(rng)) for _ in range(60)]
+        for i, f in enumerate(maps):
+            path = tmp_path / f"{i}.pwl"
+            write_map(f, path)
+            assert path.read_text(encoding="utf-8") == dump_map_text(f)
+            g = read_map(path)
+            assert g == f and g.points == f.points, f
+
+    def test_str_of_a_tent(self):
+        assert str(tent(3)) == "(0,0) (1/3,1) (2/3,0) (1,1)"
