@@ -1,9 +1,9 @@
 """Command-line front end: `icm <verb> [args] [--out PATH] [--format ...]`.
 
 Exit codes: 0 success (or boolean true), 1 boolean false / failed checks,
-2 usage, parse, or domain errors (an unreadable or non-UTF-8 map file and an
-unwritable `--out` path included), 3 violated preconditions, 4 resource cap
-or a result with more digits than Python prints.
+2 usage, parse, or domain errors (an unreadable or non-UTF-8 map file, an
+unwritable `--out` path and a closed stdout included), 3 violated
+preconditions, 4 resource cap or an integer too long for Python to print.
 The library reads the cap from ICM_BREAKPOINT_CAP (`core._check_cap`), so
 every verb that composes, counts laps, or builds a tent or a pullback graph
 is bounded by it.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -22,8 +23,7 @@ from . import oracle, pwl, setvalued as sv
 from .core import PLMap, compose, iterate, rat, tent
 from .decompose import (common_fixed_point, decompose,
                         primary_critical_values)
-from .errors import (DomainError, IcmError, ParseError, PreconditionError,
-                     ResourceError)
+from .errors import DomainError, IcmError, ParseError, ResourceError
 
 
 def parse_map_file(path: str) -> PLMap:
@@ -212,30 +212,23 @@ def _cmd_primary_values(args) -> int:
     return 0
 
 
-def _format_entropy(f: PLMap, method: str, iters: int) -> str:
-    if method in ("auto", "markov"):
-        data = ent.markov_partition(f)
-        if data is not None:
-            value = ent.entropy_markov(data)
-            return f"log {data.spectral_radius:.12g} ~= {value:.12g}"
-        if method == "markov":
-            raise PreconditionError(
-                "map is not Markov within the configured bound")
-    seq = ent.entropy_lap(f, iters)
-    k, count = seq.laps[-1]
-    return f"log({count})/{k} ~= {seq.estimate:.12g}"
-
-
 def _cmd_entropy(args) -> int:
     if args.iters < 1:
         raise DomainError("k_max must be a positive integer")
+    if args.g is not None and args.method != "auto":
+        raise DomainError(f"--method {args.method} takes one map, not two")
     f = parse_map_file(args.f)
-    if args.g is None:
-        print(_format_entropy(f, args.method, args.iters))
+    if args.g is not None:
+        g = parse_map_file(args.g)
+        print(f"{ent.entropy_setvalued(f, g, k_max=args.iters):.12g}")
         return 0
-    g = parse_map_file(args.g)
-    value = ent.entropy_setvalued(f, g, k_max=args.iters)
-    print(f"{value:.12g}")
+    route = ent._route(f, args.method, args.iters)
+    if isinstance(route, ent.LapSequence):
+        k, count = route.laps[-1]
+        print(f"log({count})/{k} ~= {route.estimate:.12g}")
+    else:
+        print(f"log {route.spectral_radius:.12g} ~= "
+              f"{ent.entropy_markov(route):.12g}")
     return 0
 
 
@@ -344,7 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout again on exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
     except IcmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, DomainError):

@@ -35,10 +35,10 @@ def _check_cap(count: int, needs: str) -> None:
     """Raise ResourceError ("<needs>, above the cap C") when ``count``
     exceeds the cap: ICM_BREAKPOINT_CAP, read at each call, else the default.
     Called only where a size is known before anything is built: breakpoints
-    in `tent`, `compose` and `iterate`, laps in `entropy_lap`, cells in
-    `pullback_graph`, matrix entries in `markov_partition`, hats in `hats`,
-    segment pairs in `parametrization_coincidences` and grid points in the
-    oracle.
+    in `tent`, `compose` and `iterate`, rounds and lap images in
+    `entropy_lap`, cells in `pullback_graph`, matrix entries in
+    `markov_partition`, hats in `hats`, segment pairs in
+    `parametrization_coincidences` and grid points in the oracle.
     """
     raw = os.environ.get("ICM_BREAKPOINT_CAP")
     try:

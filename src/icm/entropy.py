@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .core import ONE, ZERO, PLMap, _check_cap
 from .errors import DomainError, InternalInvariantError, PreconditionError
@@ -32,12 +32,6 @@ class LapSequence(NamedTuple):
     laps: tuple[tuple[int, int], ...]  # (k, lap(f^k))
     estimate: float                    # log(lap(f^k_max)) / k_max
 
-    def lap_at(self, k: int) -> int:
-        for kk, count in self.laps:
-            if kk == k:
-                return count
-        raise DomainError(f"no lap count recorded for k={k}")
-
 
 def entropy_lap(f: PLMap, k_max: int) -> LapSequence:
     """Exact lap counts of f, f^2, ..., f^k_max and the entropy upper bound
@@ -50,18 +44,20 @@ def entropy_lap(f: PLMap, k_max: int) -> LapSequence:
     Laps never merge: at a turning point t of f^k both sides of t map into
     the same side of f^k(t), where f is monotone because it has no constant
     piece, so f^(k+1) turns at t as well. The image endpoints are f^k(0),
-    f^k(1) and values f^i(c), i <= k, at critical points c of f, so the
-    images number O((k * #critical points)^2) however many laps there are.
-
-    The cap bounds the breakpoints the iterates would need, at least
-    lap(f^k) + 1 for f^k; a larger count raises ResourceError. The k_max
-    rounds count at least one lap each, so k_max is checked first.
+    f^k(1) and values f^i(c), i <= k, at critical points c of f: at most
+    V = 2 + k_max * #critical points values, so at most V(V - 1)/2 images
+    however many laps there are. The cap bounds that count and the k_max
+    rounds, of a lap each at least, before the first round; k_max = 1 checks
+    neither, as f itself holds its laps.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise DomainError("k_max must be a positive integer")
+    crit = f.critical_points().xs
     if k_max > 1:
         _check_cap(k_max, f"{k_max} rounds count at least {k_max} laps")
-    crit = f.critical_points().xs
+        v = 2 + k_max * len(crit)
+        _check_cap(v * (v - 1) // 2,
+                   f"{k_max} rounds keep up to {v * (v - 1) // 2} lap images")
     crit_values = [f._value(c) for c in crit]
     images = {(ZERO, ONE): 1}  # the one lap of f^0, the identity
     laps = []
@@ -74,29 +70,33 @@ def entropy_lap(f: PLMap, k_max: int) -> LapSequence:
                 key = (a, b) if a < b else (b, a)
                 cut[key] = cut.get(key, 0) + mult
         images = cut
-        count = sum(images.values())
-        if k > 1:
-            _check_cap(count + 1,
-                       f"f^{k} needs at least {count + 1} breakpoints")
-        laps.append((k, count))
-    estimate = math.log(laps[-1][1]) / k_max
-    return LapSequence(tuple(laps), estimate)
+        laps.append((k, sum(images.values())))
+    return LapSequence(tuple(laps), math.log(laps[-1][1]) / k_max)
 
 
 class MarkovData(NamedTuple("_MarkovData", [
         ("partition", tuple[Fraction, ...]),
-        ("matrix", tuple[tuple[int, ...], ...]),
-        ("spectral_radius", float), ("radius_error", float)])):
-    """Markov partition with its cover-count matrix and certified Perron
-    root; radius_error is the half-width of the bracket."""
+        ("runs", tuple[tuple[int, int], ...]),
+        ("rho_lo", Fraction), ("rho_hi", Fraction)])):
+    """Markov partition, the run runs[i] = (lo, hi) of cells lo <= j < hi
+    that cell i covers (row i of the 0/1 cover matrix), and a certified
+    bracket [rho_lo, rho_hi] of the Perron root of that matrix."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "MarkovData":
         data = super().__new__(cls, *args, **kwargs)
-        if any(sum(row) < 1 for row in data.matrix):
+        if any(hi <= lo for lo, hi in data.runs):
             raise DomainError("each cell of an onto map must cover a cell")
         return data
+
+    @property
+    def spectral_radius(self) -> float:
+        return float((self.rho_lo + self.rho_hi) / 2)
+
+    @property
+    def radius_error(self) -> float:
+        return float((self.rho_hi - self.rho_lo) / 2)
 
 
 def markov_partition(f: PLMap, max_points: int = 256) -> MarkovData | None:
@@ -104,7 +104,7 @@ def markov_partition(f: PLMap, max_points: int = 256) -> MarkovData | None:
 
     Returns None when the orbit closure exceeds ``max_points`` (the map is
     then not Markov within the configured bound). The breakpoint cap bounds
-    the n^2 entries of the matrix of the n cells before it is built.
+    the n^2 bits of the bracket's reach sets for n cells before they exist.
     """
     pts = set(f.xs)
     # f maps every older point into the set already, so only the points the
@@ -122,19 +122,14 @@ def markov_partition(f: PLMap, max_points: int = 256) -> MarkovData | None:
     n = len(partition) - 1
     _check_cap(n * n, f"Markov matrix needs {n * n} entries")
     # f(a), f(b) are partition points; the cells between them are covered
-    runs = [tuple(sorted((rank[f._value(a)], rank[f._value(b)])))
-            for a, b in zip(partition, partition[1:])]
-    matrix = tuple((0,) * i + (1,) * (j - i) + (0,) * (n - j)
-                   for i, j in runs)
-    rho_lo, rho_hi = _perron_bracket(runs)
-    mid = (rho_lo + rho_hi) / 2
-    return MarkovData(tuple(partition), matrix,
-                      float(mid), float((rho_hi - rho_lo) / 2))
+    runs = tuple(tuple(sorted((rank[f._value(a)], rank[f._value(b)])))
+                 for a, b in zip(partition, partition[1:]))
+    return MarkovData(tuple(partition), runs, *_perron_bracket(runs))
 
 
 def entropy_markov(data: MarkovData) -> float:
-    """log of the Perron root of the cover-count matrix (certified to 1e-9)."""
-    if data.radius_error > 1e-9:
+    """log of the Perron root, whose exact half-width must be <= 10^-9."""
+    if data.rho_hi - data.rho_lo > Fraction(2, 10**9):
         raise InternalInvariantError("Perron bracket wider than the tolerance")
     return math.log(data.spectral_radius)
 
@@ -144,20 +139,24 @@ def entropy_setvalued(f: PLMap, g: PLMap, k_max: int = 12) -> float:
     pair: the maximum of the two individual entropies."""
     if not strongly_commute(f, g):
         raise PreconditionError("the entropy formula needs strong commutation")
-    return max(_entropy_of(f, k_max), _entropy_of(g, k_max))
+    return max(entropy_markov(r) if isinstance(r, MarkovData) else r.estimate
+               for r in (_route(m, "auto", k_max) for m in (f, g)))
 
 
-def _entropy_of(f: PLMap, k_max: int) -> float:
-    data = markov_partition(f)
-    if data is not None:
-        return entropy_markov(data)
-    return entropy_lap(f, k_max).estimate
+def _route(f: PLMap, method: str, k_max: int) -> MarkovData | LapSequence:
+    """The one choice of entropy route: the Markov partition of f, unless
+    ``method`` is "lap" or f has none, then its lap counts up to k_max;
+    "markov" insists on the partition."""
+    data = None if method == "lap" else markov_partition(f)
+    if data is None and method == "markov":
+        raise PreconditionError("map is not Markov within the configured bound")
+    return entropy_lap(f, k_max) if data is None else data
 
 
 # -- Perron root with certified bracket ------------------------------------------
 
 def _perron_bracket(
-        runs: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
+        runs: Sequence[tuple[int, int]]) -> tuple[Fraction, Fraction]:
     """Certified rational bracket for the spectral radius of a 0/1 matrix
     whose row i is one run of ones, in the columns lo <= j < hi of
     runs[i] = (lo, hi).

@@ -287,10 +287,23 @@ class TestCli:
             self, maps_dir, capsys, monkeypatch):
         # a certified root of 2 + 10^-10 is no integer, and prints as itself
         from icm import entropy
-        data = entropy.MarkovData((F(0), F(1)), ((2,),), 2 + 1e-10, 1e-13)
+        mid, half = 2 + F(1, 10**10), F(1, 10**13)
+        data = entropy.MarkovData((F(0), F(1)), ((0, 1),), mid - half,
+                                  mid + half)
         monkeypatch.setattr(entropy, "markov_partition", lambda f: data)
         code, out, _ = run_cli(["entropy", maps_dir / "T2.pwl"], capsys)
         assert (code, out) == (0, "log 2.0000000001 ~= 0.69314718061\n")
+
+    @pytest.mark.parametrize("method", ["lap", "markov"])
+    def test_method_on_a_pair_exit_2(self, maps_dir, capsys, method):
+        # each map of a pair takes its own route; --method picks none
+        maps = [maps_dir / "T3.pwl", maps_dir / "T4.pwl"]
+        code, out, err = run_cli(["entropy", *maps, "--method", method],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --method {method} takes one map, not two\n"
+        code, out, _ = run_cli(["entropy", *maps, "--method", "auto"], capsys)
+        assert (code, out) == (0, "1.38629436112\n")
 
     def test_markov_method_on_a_non_markov_map_exit_3(self, tmp_path, capsys):
         path = tmp_path / "nm.pwl"
@@ -415,11 +428,17 @@ class TestCli:
         assert (code, out) == (4, "") and "cap 20" in err
 
     def test_lap_entropy_bounded_by_cap(self, maps_dir, capsys, monkeypatch):
-        # lap(T3^4) + 1 = 82 breakpoints already exceed the cap
+        # 8 rounds of T3 keep up to 153 lap images
         monkeypatch.setenv("ICM_BREAKPOINT_CAP", "50")
         code, out, err = run_cli(["entropy", maps_dir / "T3.pwl", "--method",
                                   "lap", "--iters", "8"], capsys)
         assert (code, out) == (4, "") and "cap 50" in err
+
+    def test_lap_entropy_counts_laps_past_the_cap(self, maps_dir, capsys):
+        # 3^14 laps, counted from at most 435 images, build no iterate
+        code, out, _ = run_cli(["entropy", maps_dir / "T3.pwl", "--method",
+                                "lap", "--iters", "14"], capsys)
+        assert (code, out) == (0, "log(4782969)/14 ~= 1.09861228867\n")
 
     def test_lap_entropy_of_non_markov_map(self, tmp_path, capsys):
         path = tmp_path / "nm.pwl"
@@ -544,14 +563,32 @@ class TestCli:
         code, out, err = run_cli(["eval", maps_dir / "T3.pwl", x], capsys)
         assert (code, out) == (2, "") and "a/b rational" in err
 
-    def test_module_entry_point(self, maps_dir):
+    @staticmethod
+    def _child_env() -> dict:
         # the child imports the same `icm` as this process
         src = os.path.dirname(os.path.dirname(icm.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return {**os.environ, "PYTHONPATH": path}
+
+    def test_module_entry_point(self, maps_dir):
         proc = subprocess.run(
             [sys.executable, "-m", "icm", "strong-commute",
              str(maps_dir / "T3.pwl"), str(maps_dir / "T4.pwl")],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path})
+            capture_output=True, text=True, env=self._child_env())
         assert proc.returncode == 0
         assert proc.stdout == "true\n"
+
+    def test_closed_stdout_exit_2(self, maps_dir):
+        # the reader closes the pipe before the child writes its report, as
+        # `icm verify ... | head -1` may
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "icm", "verify",
+             str(maps_dir / "T2.pwl"), str(maps_dir / "T3.pwl")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=self._child_env())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 2
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "error: cannot write stdout: [Errno 32] Broken pipe"]

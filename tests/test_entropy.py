@@ -65,17 +65,41 @@ class TestEntropyLap:
             assert plain.estimate == conj.estimate
 
     def test_resource_cap_propagates(self, monkeypatch):
-        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "1000")
+        # 20 rounds of T3 keep up to 861 lap images
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "800")
         with pytest.raises(ResourceError):
             entropy_lap(tent(3), 20)
 
-    def test_cap_counts_laps_plus_one(self, monkeypatch):
-        # lap(T3^4) + 1 = 82 breakpoints at least
-        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "82")
+    def test_cap_bounds_the_lap_images(self, monkeypatch):
+        # T3 has 2 critical points, so the images of 4 rounds have their
+        # ends among 2 + 4 * 2 = 10 values: up to 45 images
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "45")
         assert entropy_lap(tent(3), 4).laps[-1] == (4, 81)
-        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "81")
-        with pytest.raises(ResourceError):
+        monkeypatch.setenv("ICM_BREAKPOINT_CAP", "44")
+        with pytest.raises(ResourceError, match="4 rounds keep up to 45 lap "
+                                                "images, above the cap 44"):
             entropy_lap(tent(3), 4)
+
+    def test_lap_counts_are_not_capped(self):
+        # 3^14 laps, far above the default cap, from 435 images at most
+        assert entropy_lap(tent(3), 14).laps[-1] == (14, 3 ** 14)
+
+    def test_image_ends_are_orbit_values(self):
+        # the premise of the bound: each image f^k(J) of a lap J of f^k has
+        # its ends among f^k(0), f^k(1) and the f^j(c), j <= k, at the
+        # critical points c of f, at most 2 + k * #critical points values
+        rng = random.Random(63)
+        for f in [tent(5)] + [random_onto_map(rng) for _ in range(20)]:
+            crit = f.critical_points().xs
+            orbit, values, fk = list(crit), set(), identity_map()
+            for k in range(1, 7):
+                fk = compose(f, fk)
+                orbit = [f(c) for c in orbit]
+                values.update(orbit)
+                ends = values | {fk(F(0)), fk(F(1))}
+                assert len(ends) <= 2 + k * len(crit)
+                laps = [F(0), *fk.critical_points().xs, F(1)]
+                assert {fk(x) for x in laps} <= ends, (f, k)
 
     def test_round_count_checked_before_the_first_round(self, monkeypatch):
         # the identity has one lap in each of its k_max rounds
@@ -99,7 +123,7 @@ class TestEntropyLap:
             for k in range(1, 7):
                 if k > 1:
                     acc = compose(f, acc)
-                assert seq.lap_at(k) == lap(acc), (f, k)
+                assert dict(seq.laps)[k] == lap(acc), (f, k)
 
 
 def _random_map_not_onto(rng: random.Random, denom: int = 12) -> PLMap:
@@ -128,22 +152,44 @@ def _whole_set_closure(f: PLMap, max_points: int):
 
 class TestMarkov:
     def test_every_row_must_cover_a_cell(self):
-        data = MarkovData(partition=(F(0), F(1)), matrix=((1,),),
-                          spectral_radius=1.0, radius_error=0.0)
+        data = MarkovData(partition=(F(0), F(1)), runs=((0, 1),),
+                          rho_lo=F(1), rho_hi=F(1))
         assert data == markov_partition(identity_map())
-        with pytest.raises(DomainError, match="must cover a cell"):
-            MarkovData((F(0), F(1, 2), F(1)), ((1, 1), (0, 0)), 1.0, 0.0)
+        for empty in ((1, 1), (1, 0)):
+            with pytest.raises(DomainError, match="must cover a cell"):
+                MarkovData((F(0), F(1, 2), F(1)), ((0, 2), empty), F(1), F(1))
+
+    def test_floats_derive_from_the_bracket(self):
+        data = MarkovData((F(0), F(1)), ((0, 1),), F(1, 3), F(2, 3))
+        assert data.spectral_radius == float(F(1, 2)) == 0.5
+        assert data.radius_error == float(F(1, 6))
+
+    def test_entropy_compares_the_exact_width(self):
+        # a half-width of 10^-9 passes; one 10^-30 wider fails, though it
+        # rounds to the same float
+        lo = F(2)
+        for width, ok in ((F(2, 10**9), True),
+                          (F(2, 10**9) + F(1, 10**30), False)):
+            data = MarkovData((F(0), F(1)), ((0, 1),), lo, lo + width)
+            assert data.radius_error == 1e-9
+            if ok:
+                assert entropy_markov(data) == math.log(data.spectral_radius)
+            else:
+                with pytest.raises(InternalInvariantError,
+                                   match="wider than the tolerance"):
+                    entropy_markov(data)
 
     def test_tent2_structure(self):
         data = markov_partition(tent(2))
         assert data.partition == (F(0), F(1, 2), F(1))
-        assert data.matrix == ((1, 1), (1, 1))
+        assert data.runs == ((0, 2), (0, 2))
+        assert (data.rho_lo, data.rho_hi) == (2, 2)
         assert data.spectral_radius == pytest.approx(2, abs=1e-9)
 
     def test_identity_structure(self):
         data = markov_partition(identity_map())
         assert data.partition == (F(0), F(1))
-        assert data.matrix == ((1,),)
+        assert data.runs == ((0, 1),)
         assert entropy_markov(data) == pytest.approx(0, abs=1e-12)
 
     def test_tent_family_radius(self):
@@ -176,7 +222,7 @@ class TestMarkov:
                 assert data.partition == tuple(partition)
                 cells = list(zip(partition, partition[1:]))
                 images = [sorted((f(a), f(b))) for a, b in cells]
-                assert data.matrix == tuple(
+                assert _dense(data.runs) == tuple(
                     tuple(int(lo <= c and d <= hi) for c, d in cells)
                     for lo, hi in images)
 
@@ -196,7 +242,7 @@ class TestMarkov:
                            match="needs 144 entries, above the cap 143"):
             markov_partition(tent(12))
         monkeypatch.setenv("ICM_BREAKPOINT_CAP", "144")
-        assert len(markov_partition(tent(12)).matrix) == 12
+        assert len(markov_partition(tent(12)).runs) == 12
 
     def test_markov_agrees_with_lap_growth(self):
         k = 6
@@ -277,8 +323,10 @@ class TestPerronBracketExact:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, None])
     def test_bracket_encloses_a_sign_change(self, n):
-        matrix = self.PLASTIC if n is None else markov_partition(tent(n)).matrix
-        lo, hi = _perron_bracket(_runs(matrix))
+        runs = (_runs(self.PLASTIC) if n is None
+                else markov_partition(tent(n)).runs)
+        lo, hi = _perron_bracket(runs)
+        matrix = _dense(runs)
         assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
         assert _char_poly_at(matrix, lo) <= 0 <= _char_poly_at(matrix, hi)
         assert hi - lo < PERRON_TOLERANCE
@@ -314,9 +362,10 @@ def _random_runs(rng: random.Random) -> list[tuple[int, int]]:
     return runs
 
 
-def _reference_markov(f: PLMap) -> MarkovData | None:
-    """MarkovData as the dense route builds it: the whole-set closure, the
-    cover matrix entry by entry and the reference bracket."""
+def _reference_markov(f: PLMap):
+    """The partition, the cover matrix and its Perron bracket as the dense
+    route builds them: the whole-set closure, the matrix entry by entry and
+    the reference bracket. None when the closure exceeds 256 points."""
     partition = _whole_set_closure(f, 256)
     if partition is None:
         return None
@@ -324,9 +373,7 @@ def _reference_markov(f: PLMap) -> MarkovData | None:
     images = [sorted((f(a), f(b))) for a, b in cells]
     matrix = tuple(tuple(int(lo <= c and d <= hi) for c, d in cells)
                    for lo, hi in images)
-    rho_lo, rho_hi = reference_bracket(matrix)
-    return MarkovData(tuple(partition), matrix, float((rho_lo + rho_hi) / 2),
-                      float((rho_hi - rho_lo) / 2))
+    return tuple(partition), matrix, reference_bracket(matrix)
 
 
 class TestPerronDifferential:
@@ -343,7 +390,7 @@ class TestPerronDifferential:
     def test_matches_dense_reference(self):
         rng = random.Random(24)
         maps = [tent(n) for n in range(2, 15)] + list(_corpus_pairs_maps())
-        cases = [_runs(markov_partition(f).matrix) for f in maps]
+        cases = [markov_partition(f).runs for f in maps]
         cases += [[(0, 2), (0, 1)], [(0, 3), (0, 2), (3, 4), (2, 3)],
                   _runs(TestPerronBracketExact.PLASTIC), [],
                   [(1, 2), (1, 2)]]  # 0 lies on no cycle, a zero block
@@ -364,10 +411,15 @@ class TestPerronDifferential:
         maps += [m for _, f, g in strongly_commuting_corpus for m in (f, g)]
         for f in maps:
             data, ref = markov_partition(f), _reference_markov(f)
-            # NamedTuple equality compares the floats exactly
-            assert data == ref, f
-            assert data is None or list(map(type, data)) == list(
-                map(type, ref)), f
+            assert (data is None) == (ref is None), f
+            if data is None:
+                continue
+            partition, matrix, bracket = ref
+            assert data.partition == partition, f
+            assert data.runs == tuple(_runs(matrix)), f
+            assert (data.rho_lo, data.rho_hi) == bracket, f
+            assert all(type(v) is Fraction
+                       for v in (*data.partition, data.rho_lo, data.rho_hi))
 
 
 class TestSetValued:

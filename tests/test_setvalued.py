@@ -1022,8 +1022,8 @@ def value_types():
          "estimate=1.0986122886681098)"),
         (markov_partition(tent(3)),
          f"MarkovData(partition=({fr(0, 1)}, {fr(1, 3)}, {fr(2, 3)}, "
-         f"{fr(1, 1)}), matrix=((1, 1, 1), (1, 1, 1), (1, 1, 1)), "
-         f"spectral_radius=3.0, radius_error=0.0)"),
+         f"{fr(1, 1)}), runs=((0, 3), (0, 3), (0, 3)), "
+         f"rho_lo={fr(3, 1)}, rho_hi={fr(3, 1)})"),
         (sample, f"GridSample(resolution=2, points={sample.points!r})"),
         (verify_decomposition(tent(3), tent(4), D).checks[0],
          "Check(name='partition', passed=True, detail=\"points=['0', '1']\")"),
