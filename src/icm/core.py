@@ -391,7 +391,11 @@ class PLMap:
 
     def _rank(self, y: Fraction) -> tuple[int, bool]:
         """(bisect_right(xs, y), whether y is a breakpoint), exactly and in
-        integers.
+        integers."""
+        return self._rank_pq(y.numerator, y.denominator)
+
+    def _rank_pq(self, p: int, q: int) -> tuple[int, bool]:
+        """`_rank` of y = p/q, for integers q > 0 and p.
 
         y's key floor(y·2^64) places it by one `bisect` over the keys of the
         breakpoints. A breakpoint with another key lies on the same side of
@@ -402,7 +406,6 @@ class PLMap:
         if keys is None:
             keys = self._keys = [(x.numerator << 64) // x.denominator
                                  for x in self._xs]
-        p, q = y.numerator, y.denominator
         key = (p << 64) // q
         i = bisect.bisect_right(keys, key)
         while i and keys[i - 1] == key:

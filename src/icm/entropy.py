@@ -12,7 +12,8 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from math import gcd, lcm
+from typing import Callable, NamedTuple, Sequence
 
 from .core import ONE, ZERO, PLMap, _check_cap
 from .errors import DomainError, InternalInvariantError, PreconditionError
@@ -105,26 +106,72 @@ def markov_partition(f: PLMap, max_points: int = 256) -> MarkovData | None:
     Returns None when the orbit closure exceeds ``max_points`` (the map is
     then not Markov within the configured bound). The breakpoint cap bounds
     the n^2 bits of the bracket's reach sets for n cells before they exist.
+    The orbit is a set of coprime integer pairs (p, q) for p/q, mapped by
+    `_orbit_step`; only the partition of a finite orbit becomes Fractions.
     """
-    pts = set(f.xs)
+    step = _orbit_step(f)
+    pts = {(x.numerator, x.denominator) for x in f.xs}
     # f maps every older point into the set already, so only the points the
     # last round added can have images outside it
     frontier = pts
     while True:
-        frontier = {f._value(x) for x in frontier} - pts
+        frontier = {step(x) for x in frontier} - pts
         if not frontier:
             break
         pts |= frontier
         if len(pts) > max_points:
             return None
-    partition = sorted(pts)
-    rank = {x: i for i, x in enumerate(partition)}
-    n = len(partition) - 1
+    # segment_set's exact order: with Q the largest denominator and
+    # k = 2·bitlength(Q), distinct points differ by more than 2^-k, so their
+    # keys floor(p·2^k/q) differ, in the same order
+    k = 2 * max(q for _, q in pts).bit_length()
+    order = sorted(pts, key=lambda x: (x[0] << k) // x[1])
+    rank = {x: i for i, x in enumerate(order)}
+    n = len(order) - 1
     _check_cap(n * n, f"Markov matrix needs {n * n} entries")
     # f(a), f(b) are partition points; the cells between them are covered
-    runs = tuple(tuple(sorted((rank[f._value(a)], rank[f._value(b)])))
-                 for a, b in zip(partition, partition[1:]))
-    return MarkovData(tuple(partition), runs, *_perron_bracket(runs))
+    images = [rank[step(x)] for x in order]
+    runs = tuple((a, b) if a < b else (b, a)
+                 for a, b in zip(images, images[1:]))
+    return MarkovData(tuple(Fraction(p, q) for p, q in order), runs,
+                      *_perron_bracket(runs))
+
+
+def _orbit_step(f: PLMap) -> Callable[[tuple[int, int]], tuple[int, int]]:
+    """f on points p/q of [0, 1] given as coprime integers (p, q), q > 0,
+    with the image in the same form.
+
+    Each piece of f is x -> (A·x + B)/C for integers A, B and C > 0, read
+    once here. A breakpoint, found by `PLMap._rank_pq`, maps to its stored
+    value. Inside a piece f(p/q) = N/D with N = A·p + B·q and D = C·q, and
+    gcd(N, D) divides A·C. For a prime r let r^e be its power in gcd(N, D)
+    and r^k its power in q. Then r^min(e, k) divides N and B·q, so A·p; it
+    is 1, or r divides q and so not p, as gcd(p, q) = 1: it divides A. If
+    e > k, r^(e - k) divides C, as r^e divides C·q. So r^e divides A·C, and
+    gcd(N, D) = gcd(gcd(N, A·C), D): two gcds, each of a big number with a
+    small one. N > 0 makes N/D canonical: the piece's values lie in [0, 1]
+    and it is not constant, so it reaches 0 only at an end, and p/q is none.
+    """
+    values = [(y.numerator, y.denominator) for _, y in f.points]
+    forms = []
+    for (x0, y0), (x1, y1) in f.segments():
+        slope = (y1 - y0) / (x1 - x0)
+        cut = y0 - slope * x0
+        c = lcm(slope.denominator, cut.denominator)
+        a = slope.numerator * (c // slope.denominator)
+        forms.append((a, cut.numerator * (c // cut.denominator), c, a * c))
+    rank = f._rank_pq
+
+    def step(x: tuple[int, int]) -> tuple[int, int]:
+        p, q = x
+        i, hit = rank(p, q)
+        if hit:
+            return values[i - 1]
+        a, b, c, ac = forms[i - 1]
+        n, d = a * p + b * q, c * q
+        g = gcd(gcd(n, ac), d)
+        return n // g, d // g
+    return step
 
 
 def entropy_markov(data: MarkovData) -> float:
@@ -146,7 +193,10 @@ def entropy_setvalued(f: PLMap, g: PLMap, k_max: int = 12) -> float:
 def _route(f: PLMap, method: str, k_max: int) -> MarkovData | LapSequence:
     """The one choice of entropy route: the Markov partition of f, unless
     ``method`` is "lap" or f has none, then its lap counts up to k_max;
-    "markov" insists on the partition."""
+    "markov" insists on the partition. k_max is checked first, whichever
+    route is taken."""
+    if not isinstance(k_max, int) or k_max < 1:
+        raise DomainError("k_max must be a positive integer")
     data = None if method == "lap" else markov_partition(f)
     if data is None and method == "markov":
         raise PreconditionError("map is not Markov within the configured bound")

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import random
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -14,7 +15,7 @@ from icm import (DomainError, InternalInvariantError, MarkovData, PLMap,
                  PreconditionError, ResourceError, compose, conjugate,
                  entropy_lap, entropy_markov, entropy_setvalued, identity_map,
                  iterate, lap, make_plmap, markov_partition, tent)
-from icm.entropy import PERRON_TOLERANCE, _perron_bracket
+from icm.entropy import PERRON_TOLERANCE, _orbit_step, _perron_bracket
 from conftest import invariant_chain_pair, random_homeo, random_onto_map
 from perron_reference import _perron_bracket as reference_bracket
 from perron_reference import _strong_components
@@ -212,6 +213,7 @@ class TestMarkov:
     def test_frontier_closure_matches_whole_set_closure(self):
         rng = random.Random(62)
         maps = [random_onto_map(rng) for _ in range(40)]
+        maps += _lap_growth_giveup_maps()
         for f in maps:
             for max_points in (16, 64):
                 data = markov_partition(f, max_points)
@@ -333,13 +335,37 @@ class TestPerronBracketExact:
 
 
 @cache
-def _corpus_pairs_maps() -> tuple[PLMap, ...]:
-    """The 48 maps of the benchmark's corpus-pairs workload: each base pair
-    conjugated by three homeomorphisms, drawn as the benchmark draws them."""
+def _workloads():
+    """The benchmark's input generators, perfbench/workloads.py, read-only."""
     path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("corpus_workloads", path)
     wl = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wl)  # its dataclasses look themselves up there
+    return wl
+
+
+@cache
+def _lap_growth_giveup_maps() -> tuple[PLMap, ...]:
+    """The 12 non-Markov maps of the benchmark's lap-growth workload, drawn
+    as the benchmark draws them: their breakpoint orbits pass 256 points."""
+    wl = _workloads()
+    draw, need = random.Random(wl.LAP_CATALOGUE_SEED), dict(wl.LAP_QUOTA)
+    maps = []
+    while any(need.values()):
+        f = PLMap(tuple(wl.random_onto_map(draw)))
+        escaping = wl._escaping_orbits(f.points)
+        if need.get(escaping):
+            need[escaping] -= 1
+            maps.append(f)
+    assert len(maps) == 12
+    return tuple(maps)
+
+
+@cache
+def _corpus_pairs_maps() -> tuple[PLMap, ...]:
+    """The 48 maps of the benchmark's corpus-pairs workload: each base pair
+    conjugated by three homeomorphisms, drawn as the benchmark draws them."""
+    wl = _workloads()
     draw = random.Random(wl.CORPUS_CATALOGUE_SEED)
     bases = [(tent(n), tent(m)) for n, m in wl.CORPUS_TENTS]
     bases += [tuple(map(make_plmap, pair)) for pair in wl.NAMED_PAIRS.values()]
@@ -422,6 +448,76 @@ class TestPerronDifferential:
                        for v in (*data.partition, data.rho_lo, data.rho_hi))
 
 
+TINY = F(1, 2**70)  # 64 times closer than PLMap's 64-bit keys resolve
+
+
+def _key(x: Fraction) -> int:
+    return (x.numerator << 64) // x.denominator
+
+
+def _value_by_bisect(f: PLMap, x: Fraction) -> Fraction:
+    """f(x) by a Fraction `bisect` over the breakpoints and the line through
+    the piece's ends: a reference that shares no code with `PLMap._rank`."""
+    i = bisect_right(f.xs, x)
+    (x0, y0), (x1, y1) = f.points[i - 1], f.points[min(i, len(f.xs) - 1)]
+    return y0 if x == x0 else y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+class TestOrbitStep:
+    """The integer step against `PLMap._value` and `_value_by_bisect` along
+    whole orbits: the same point each time, as its coprime pair with a
+    positive denominator."""
+
+    @staticmethod
+    def _follow(f: PLMap, starts, steps: int) -> set[tuple[int, int]]:
+        step, seen = _orbit_step(f), set()
+        for x in starts:
+            pair = (x.numerator, x.denominator)
+            for _ in range(steps):
+                y, pair = f._value(x), step(pair)
+                assert y == _value_by_bisect(f, x), (f, x)
+                assert pair == (y.numerator, y.denominator), (f, x)
+                x = y
+                seen.add(pair)
+        return seen
+
+    def test_lap_growth_orbits_past_the_bound(self):
+        # 300 steps from each breakpoint pass the 256 points at which the
+        # closure gives up, with denominators of up to 950 bits
+        bits = []
+        for f in _lap_growth_giveup_maps():
+            seen = self._follow(f, f.xs, 300)
+            assert len(seen) > 256
+            bits.append(max(q for _, q in seen).bit_length())
+        assert min(bits) > 200 and max(bits) > 900
+
+    def test_random_onto_maps(self):
+        rng = random.Random(2801)
+        ends = 0
+        for denom in (6, 7, 12, 17):
+            for _ in range(30):
+                f = random_onto_map(rng, denom=denom)
+                grid = [F(k, 3 * denom) for k in range(3 * denom + 1)]
+                seen = self._follow(f, grid, 25)
+                ends += (0, 1) in seen and (1, 1) in seen
+        assert ends == 120  # an onto map takes the values 0 and 1
+
+    def test_points_sharing_a_breakpoints_key(self):
+        # x ± 2^-70 share the key of a breakpoint x that is not a multiple
+        # of 2^-58, so only the exact tie-break places them on its two sides
+        rng = random.Random(2802)
+        maps = [random_onto_map(rng, denom=denom)
+                for denom in (7, 12, 17) for _ in range(20)]
+        maps += _lap_growth_giveup_maps() + (tent(3), tent(5))
+        shared = 0
+        for f in maps:
+            near = [x + d for x in f.xs[1:-1] for d in (-TINY, TINY)
+                    if _key(x + d) == _key(x)]
+            shared += len(near)
+            self._follow(f, [*f.xs, *near], 4)
+        assert shared > 300
+
+
 class TestSetValued:
     def test_tent_pairs(self):
         assert entropy_setvalued(tent(3), tent(4)) == pytest.approx(
@@ -435,6 +531,12 @@ class TestSetValued:
         each = [entropy_markov(markov_partition(m)) for m in (f, g)]
         assert value == pytest.approx(max(each), abs=1e-12)
         assert value == pytest.approx(math.log(3), abs=1e-9)
+
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_checked_on_the_markov_route(self, k_max):
+        # both maps are Markov, so no lap count would check it
+        with pytest.raises(DomainError, match="k_max must be a positive"):
+            entropy_setvalued(tent(3), tent(4), k_max=k_max)
 
     def test_requires_strong_commutation(self):
         with pytest.raises(PreconditionError):
