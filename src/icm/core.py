@@ -604,18 +604,25 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
 def iterate(f: PLMap, k: int) -> PLMap:
     """k-fold composition of f with itself, exact; `compose` caps each step.
 
-    The k - 1 compositions build at least two breakpoints each, a count
-    checked against the cap before the first one.
+    Binary powering: f^k is the product of the squares f^(2^i) at the set
+    bits of k, so floor(log2 k) + popcount(k) - 1 compositions build it, each
+    of some f^m with m <= k. Before the first one, k is checked against the
+    cap as 2(k - 1), the breakpoints of k - 1 one-step compositions: k sets
+    how large the coordinates of f^k grow.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError("iteration count must be a positive integer")
     if k > 1:
         _check_cap(2 * (k - 1), f"{k - 1} compositions build at least "
                    f"{2 * (k - 1)} breakpoints")
-    acc = f
-    for _ in range(k - 1):
-        acc = compose(f, acc)
-    return acc
+    acc, power = None, f
+    while True:
+        if k & 1:
+            acc = power if acc is None else compose(power, acc)
+        k >>= 1
+        if not k:
+            return acc
+        power = compose(power, power)
 
 
 def is_homeomorphism(h: PLMap) -> bool:

@@ -9,13 +9,13 @@ final logarithm, and the Perron root carries a certified rational bracket.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
 
-from .core import ONE, ZERO, PLMap, _check_cap
+from .core import PLMap, _check_cap
 from .errors import DomainError, InternalInvariantError, PreconditionError
 from .setvalued import strongly_commute
 
@@ -50,25 +50,34 @@ def entropy_lap(f: PLMap, k_max: int) -> LapSequence:
     however many laps there are. The cap bounds that count and the k_max
     rounds, of a lap each at least, before the first round; k_max = 1 checks
     neither, as f itself holds its laps.
+
+    Points are coprime integer pairs (p, q) for p/q, mapped by `_orbit_step`,
+    and an image (lo, hi) has lo < hi by one cross product. below[i] counts
+    the critical points among the breakpoints xs[:i]. With i the rank
+    `_rank_pq` gives lo, and (j, hit) the one it gives hi, the critical
+    points strictly between them are crit[below[i]:below[j - hit]].
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise DomainError("k_max must be a positive integer")
-    crit = f.critical_points().xs
+    crit = f.critical_points()
     if k_max > 1:
         _check_cap(k_max, f"{k_max} rounds count at least {k_max} laps")
         v = 2 + k_max * len(crit)
         _check_cap(v * (v - 1) // 2,
                    f"{k_max} rounds keep up to {v * (v - 1) // 2} lap images")
-    crit_values = [f._value(c) for c in crit]
-    images = {(ZERO, ONE): 1}  # the one lap of f^0, the identity
+    step, rank = _orbit_step(f), f._rank_pq
+    below = list(accumulate((x in crit for x in f.xs), initial=0))
+    crit_values = [step((c.numerator, c.denominator)) for c in crit.xs]
+    images = {((0, 1), (1, 1)): 1}  # the one lap of f^0, the identity
     laps = []
     for k in range(1, k_max + 1):
-        cut: dict[tuple[Fraction, Fraction], int] = {}
+        cut: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
         for (lo, hi), mult in images.items():
-            i, j = bisect_right(crit, lo), bisect_left(crit, hi)
-            values = [f._value(lo), *crit_values[i:j], f._value(hi)]
+            i, (j, hit) = rank(*lo)[0], rank(*hi)
+            values = [step(lo), *crit_values[below[i]:below[j - hit]],
+                      step(hi)]
             for a, b in zip(values, values[1:]):
-                key = (a, b) if a < b else (b, a)
+                key = (a, b) if a[0] * b[1] < b[0] * a[1] else (b, a)
                 cut[key] = cut.get(key, 0) + mult
         images = cut
         laps.append((k, sum(images.values())))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,35 @@ def glued_pair(rng: random.Random, denom: int = 24) -> tuple[PLMap, PLMap]:
         h = random_homeo(rng, decreasing=rng.random() < 0.5)
         f, g = conjugate(f, h), conjugate(g, h)
     return f, g
+
+
+# -- the benchmark's inputs -----------------------------------------------------
+
+@cache
+def benchmark_workloads():
+    """The benchmark's input generators, perfbench/workloads.py, read-only."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("corpus_workloads", path)
+    wl = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)  # its dataclasses look themselves up there
+    return wl
+
+
+@cache
+def lap_growth_giveup_maps() -> tuple[PLMap, ...]:
+    """The 12 non-Markov maps of the benchmark's lap-growth workload, drawn
+    as the benchmark draws them: their breakpoint orbits pass 256 points."""
+    wl = benchmark_workloads()
+    draw, need = random.Random(wl.LAP_CATALOGUE_SEED), dict(wl.LAP_QUOTA)
+    maps = []
+    while any(need.values()):
+        f = PLMap(tuple(wl.random_onto_map(draw)))
+        escaping = wl._escaping_orbits(f.points)
+        if need.get(escaping):
+            need[escaping] -= 1
+            maps.append(f)
+    assert len(maps) == 12
+    return tuple(maps)
 
 
 # -- corpora -------------------------------------------------------------------

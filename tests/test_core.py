@@ -16,8 +16,9 @@ from icm import (DEFAULT_BREAKPOINT_CAP, FULL, DomainError, FixedSet,
 from icm.core import (CriticalSet, _interpolate, _turns,
                       invert_homeomorphism)
 from conftest import (conjugated_tent_pair, fraction_straight, hat_demo_pair,
-                      invariant_chain_pair, random_diagonal_map, random_homeo,
-                      random_into_map, random_onto_map)
+                      invariant_chain_pair, lap_growth_giveup_maps,
+                      random_diagonal_map, random_homeo, random_into_map,
+                      random_onto_map)
 
 F = Fraction
 decompose_module = importlib.import_module("icm.decompose")
@@ -646,6 +647,49 @@ class TestIterate:
         t3 = tent(3)
         monkeypatch.setenv("ICM_BREAKPOINT_CAP", "0")
         assert iterate(t3, 1) is t3
+
+
+class TestIterateDifferential:
+    """Binary powering against the one-step chain f^(j + 1) = f ∘ f^j: the
+    canonical form is unique, so both give the same points."""
+
+    @staticmethod
+    def assert_matches_chain(f, ks):
+        chain = [f]  # chain[j] = f^(j + 1)
+        while len(chain) < max(ks):
+            chain.append(compose(f, chain[-1]))
+        for k in ks:
+            assert iterate(f, k).points == chain[k - 1].points, (f, k)
+
+    def test_random_onto_maps(self):
+        rng = random.Random(30)
+        for _ in range(400):
+            self.assert_matches_chain(random_onto_map(rng, max_interior=2),
+                                      range(1, 10))
+
+    def test_tents(self):
+        # n^k laps: T4 and T5 stop where T4^9 and T5^9, with 2.6 * 10^5 and
+        # 2.0 * 10^6 breakpoints, would take seconds and hundreds of MB
+        for n, k_max in ((2, 9), (3, 9), (4, 7), (5, 6)):
+            self.assert_matches_chain(tent(n), range(1, k_max + 1))
+
+    def test_identity_and_an_involution(self):
+        self.assert_matches_chain(identity_map(), range(1, 10))
+        # a falling map symmetric in the diagonal: f^2 is the identity, so
+        # the breakpoint count falls from 4 to 2 at the first square
+        f = make_plmap([(0, 1), ("1/4", "1/2"), ("1/2", "1/4"), (1, 0)])
+        assert iterate(f, 2) == identity_map()
+        self.assert_matches_chain(f, range(1, 10))
+
+    def test_lap_growth_maps(self):
+        for f in lap_growth_giveup_maps():
+            self.assert_matches_chain(f, (4, 5, 6))
+
+    def test_one_step_is_f_itself(self):
+        rng = random.Random(31)
+        for f in [tent(3), identity_map()] + [random_onto_map(rng)
+                                              for _ in range(10)]:
+            assert iterate(f, 1) is f
 
 
 class TestPreimages:

@@ -1,13 +1,10 @@
 """Lap counts, Markov partitions, Perron roots, and the set-valued formula."""
 
-import importlib.util
 import math
 import random
-import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 import pytest
 
@@ -16,9 +13,11 @@ from icm import (DomainError, InternalInvariantError, MarkovData, PLMap,
                  entropy_lap, entropy_markov, entropy_setvalued, identity_map,
                  iterate, lap, make_plmap, markov_partition, tent)
 from icm.entropy import PERRON_TOLERANCE, _orbit_step, _perron_bracket
-from conftest import invariant_chain_pair, random_homeo, random_onto_map
+from conftest import (benchmark_workloads, invariant_chain_pair,
+                      lap_growth_giveup_maps, random_homeo, random_onto_map)
 from perron_reference import _perron_bracket as reference_bracket
 from perron_reference import _strong_components
+from lap_reference import entropy_lap as reference_entropy_lap
 
 F = Fraction
 
@@ -151,6 +150,44 @@ def _whole_set_closure(f: PLMap, max_points: int):
             return None
 
 
+def _ends_on_critical_points(f: PLMap, k: int) -> bool:
+    """Whether a value that can end a lap image cut in the first k rounds,
+    f^r(0), f^r(1) or f^i(c) with i <= r < k, is a critical point of f."""
+    crit = f.critical_points()
+    values = [F(0), F(1), *crit.xs]
+    for _ in range(k - 1):
+        values = [f(v) for v in values]
+        if any(v in crit for v in values):
+            return True
+    return False
+
+
+class TestLapDifferential:
+    """Lap counts on coprime integer pairs against the Fraction route."""
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(65)
+        maps = [random_onto_map(rng) if i % 3 else _random_map_not_onto(rng)
+                for i in range(600)]
+        cases = [(f, k) for f in maps for k in (1, 2, 5, 9)]
+        cases += [(tent(n), 6) for n in range(2, 9)]
+        cases += [(f, 6) for f in lap_growth_giveup_maps()]
+        for f, k in cases:
+            assert entropy_lap(f, k) == reference_entropy_lap(f, k), (f, k)
+        # ends on critical points decide bisect_left against bisect_right
+        assert sum(_ends_on_critical_points(f, 9) for f in maps) > 200
+
+    def test_lap_end_on_a_critical_point(self):
+        # f(0) = 2/3 is the point where f takes its maximum: the first lap's
+        # image [0, 2/3] ends on a critical point, which does not cut it
+        f = make_plmap([(0, "2/3"), ("1/3", 0), ("2/3", 1), (1, 0)])
+        assert _ends_on_critical_points(f, 2)
+        seq = entropy_lap(f, 6)
+        assert seq == reference_entropy_lap(f, 6)
+        assert [c for _, c in seq.laps] == [lap(iterate(f, k))
+                                            for k in range(1, 7)]
+
+
 class TestMarkov:
     def test_every_row_must_cover_a_cell(self):
         data = MarkovData(partition=(F(0), F(1)), runs=((0, 1),),
@@ -213,7 +250,7 @@ class TestMarkov:
     def test_frontier_closure_matches_whole_set_closure(self):
         rng = random.Random(62)
         maps = [random_onto_map(rng) for _ in range(40)]
-        maps += _lap_growth_giveup_maps()
+        maps += lap_growth_giveup_maps()
         for f in maps:
             for max_points in (16, 64):
                 data = markov_partition(f, max_points)
@@ -335,37 +372,10 @@ class TestPerronBracketExact:
 
 
 @cache
-def _workloads():
-    """The benchmark's input generators, perfbench/workloads.py, read-only."""
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("corpus_workloads", path)
-    wl = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(wl)  # its dataclasses look themselves up there
-    return wl
-
-
-@cache
-def _lap_growth_giveup_maps() -> tuple[PLMap, ...]:
-    """The 12 non-Markov maps of the benchmark's lap-growth workload, drawn
-    as the benchmark draws them: their breakpoint orbits pass 256 points."""
-    wl = _workloads()
-    draw, need = random.Random(wl.LAP_CATALOGUE_SEED), dict(wl.LAP_QUOTA)
-    maps = []
-    while any(need.values()):
-        f = PLMap(tuple(wl.random_onto_map(draw)))
-        escaping = wl._escaping_orbits(f.points)
-        if need.get(escaping):
-            need[escaping] -= 1
-            maps.append(f)
-    assert len(maps) == 12
-    return tuple(maps)
-
-
-@cache
 def _corpus_pairs_maps() -> tuple[PLMap, ...]:
     """The 48 maps of the benchmark's corpus-pairs workload: each base pair
     conjugated by three homeomorphisms, drawn as the benchmark draws them."""
-    wl = _workloads()
+    wl = benchmark_workloads()
     draw = random.Random(wl.CORPUS_CATALOGUE_SEED)
     bases = [(tent(n), tent(m)) for n, m in wl.CORPUS_TENTS]
     bases += [tuple(map(make_plmap, pair)) for pair in wl.NAMED_PAIRS.values()]
@@ -485,7 +495,7 @@ class TestOrbitStep:
         # 300 steps from each breakpoint pass the 256 points at which the
         # closure gives up, with denominators of up to 950 bits
         bits = []
-        for f in _lap_growth_giveup_maps():
+        for f in lap_growth_giveup_maps():
             seen = self._follow(f, f.xs, 300)
             assert len(seen) > 256
             bits.append(max(q for _, q in seen).bit_length())
@@ -508,7 +518,7 @@ class TestOrbitStep:
         rng = random.Random(2802)
         maps = [random_onto_map(rng, denom=denom)
                 for denom in (7, 12, 17) for _ in range(20)]
-        maps += _lap_growth_giveup_maps() + (tent(3), tent(5))
+        maps += lap_growth_giveup_maps() + (tent(3), tent(5))
         shared = 0
         for f in maps:
             near = [x + d for x in f.xs[1:-1] for d in (-TINY, TINY)
